@@ -16,6 +16,8 @@
 #include "common/json_writer.h"
 #include "common/random.h"
 #include "core/disc_saver.h"
+#include "core/search_distance_cache.h"
+#include "distance/columnar.h"
 #include "index/brute_force_index.h"
 #include "index/kd_tree.h"
 #include "index/kth_neighbor_cache.h"
@@ -116,8 +118,12 @@ void BM_BoundsLowerBound(benchmark::State& state) {
   DiscSaver saver(r, ev, {1.5, 6});
   Tuple outlier = Tuple::Numeric({0.1, 0.1, 0.1, 0.1, 0.1, 15.0});
   AttributeSet x{0, 1, 2};
+  // The columnar-backed per-search cache a search builds once per outlier.
+  auto view = ColumnarView::Build(r, ev);
+  SearchDistanceCache dcache(r, ev, outlier, view.get());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(saver.bounds().LowerBoundForX(outlier, x));
+    benchmark::DoNotOptimize(
+        saver.bounds().LowerBoundForX(outlier, x, nullptr, &dcache));
   }
 }
 BENCHMARK(BM_BoundsLowerBound);
@@ -128,8 +134,12 @@ void BM_BoundsUpperBound(benchmark::State& state) {
   DiscSaver saver(r, ev, {1.5, 6});
   Tuple outlier = Tuple::Numeric({0.1, 0.1, 0.1, 0.1, 0.1, 15.0});
   AttributeSet x{0, 1, 2};
+  // The columnar-backed per-search cache a search builds once per outlier.
+  auto view = ColumnarView::Build(r, ev);
+  SearchDistanceCache dcache(r, ev, outlier, view.get());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(saver.bounds().UpperBoundForX(outlier, x));
+    benchmark::DoNotOptimize(
+        saver.bounds().UpperBoundForX(outlier, x, nullptr, &dcache));
   }
 }
 BENCHMARK(BM_BoundsUpperBound);

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <limits>
+#include <vector>
 
-#include "common/thread_pool.h"
 #include "common/trace.h"
+#include "core/row_scan.h"
 #include "distance/lp_norm.h"
-#include "obs/explain.h"
 
 namespace disc {
 
@@ -19,64 +18,50 @@ inline SearchTrace* TraceOf(BudgetGauge* gauge) {
   return gauge != nullptr ? gauge->trace() : nullptr;
 }
 
-/// Marks one abandoned bound scan on the per-search decision log (no-op
-/// when explain is detached). An abandoned scan returns its safe
-/// uninformative value, so the log flags the searches whose bound-quality
-/// data is polluted by truncation.
-inline void NoteAbandonedScan(BudgetGauge* gauge) {
-  if (gauge == nullptr) return;
-  if (SearchExplain* explain = gauge->explain()) explain->NoteAbandonedScan();
-}
+constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
-/// Tracks one chunked bound scan for span recording: derives the scan's
-/// deterministic id from the owning phase span and the search's running
-/// scan ordinal, and records one `pool_chunk` span per executed chunk into
-/// the recording thread's own collector slot. Chunk presence depends on
-/// the nested path engaging (pool size, n) — chunk spans are therefore
-/// excluded from the cross-thread-count parity contract (DESIGN.md §13).
-struct ChunkSpanRecorder {
-  SearchTrace* trace = nullptr;
-  std::uint64_t phase_span = 0;
-  std::uint64_t scan_span = 0;
+/// The `k` smallest distances offered so far, as a max-heap: once full,
+/// front() is the k-th smallest.
+struct KSmallest {
+  explicit KSmallest(std::size_t k) : k(k) { heap.reserve(k); }
 
-  ChunkSpanRecorder(SearchTrace* search_trace, TracePhase phase) {
-    if (search_trace == nullptr || search_trace->collector == nullptr) return;
-    trace = search_trace;
-    phase_span = trace->PhaseSpanId(phase);
-    scan_span = DeriveSpanId(phase_span, TraceSpanKind::kScan,
-                             trace->scan_ordinal++);
+  void Offer(double d) {
+    if (heap.size() < k) {
+      heap.push_back(d);
+      std::push_heap(heap.begin(), heap.end());
+    } else if (d < heap.front()) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.back() = d;
+      std::push_heap(heap.begin(), heap.end());
+    }
   }
 
-  bool enabled() const { return trace != nullptr; }
-
-  /// Call from the chunk body's thread after the chunk's work.
-  void Record(std::uint64_t chunk_start_ns, std::size_t chunk,
-              std::size_t rows) const {
-    TraceSpan span;
-    span.name = "pool_chunk";
-    span.start_ns = chunk_start_ns;
-    span.duration_ns = TraceNowNs() - chunk_start_ns;
-    span.trace_id = trace->trace_id;
-    span.span_id = DeriveSpanId(scan_span, TraceSpanKind::kChunk, chunk);
-    span.parent_id = phase_span;
-    span.Int("chunk", chunk).Int("rows", rows);
-    trace->collector->Record(
-        SpanSlotForWorker(WorkStealingPool::CurrentWorkerIndex(),
-                          trace->collector->slots()),
-        std::move(span));
-  }
+  std::size_t k;
+  std::vector<double> heap;
 };
 
-/// Rows per nested chunk for the parallel bound scans, and the poll stride
-/// for the thread-safe hard-stop probe inside a chunk (matching the
-/// sequential KeepScanning stride).
-constexpr std::size_t kNestedScanGrain = 8192;
-constexpr std::size_t kNestedPollStride = 64;
+/// The cheapest splice donors of a Proposition-5 scan: any donor in the
+/// band, and the cheapest one that also qualifies. Strict < keeps the first
+/// (lowest-row) minimum.
+struct Donors {
+  double any = std::numeric_limits<double>::infinity();
+  std::size_t any_row = kNoRow;
+  double qualified = std::numeric_limits<double>::infinity();
+  std::size_t qualified_row = kNoRow;
 
-/// True when chunking an n-row bound scan over `pool` pays for itself.
-inline bool UseNestedScan(const WorkStealingPool* pool, std::size_t n) {
-  return pool != nullptr && pool->size() > 1 && n >= 2 * kNestedScanGrain;
-}
+  void OfferAny(double cost, std::size_t row) {
+    if (cost < any) {
+      any = cost;
+      any_row = row;
+    }
+  }
+  void OfferQualified(double cost, std::size_t row) {
+    if (cost < qualified) {
+      qualified = cost;
+      qualified_row = row;
+    }
+  }
+};
 
 /// The memoized attribute rows of a SearchDistanceCache for one subset X,
 /// resolved once per bound call so the O(n) row scans below touch flat
@@ -142,7 +127,7 @@ double BoundsEngine::GlobalLowerBound(const Tuple& outlier,
   return bound > 0 ? bound : 0;
 }
 
-double BoundsEngine::LowerBoundForX(const Tuple& outlier,
+double BoundsEngine::LowerBoundForX(const Tuple& /*outlier*/,
                                     const AttributeSet& x, BudgetGauge* gauge,
                                     const SearchDistanceCache* dcache,
                                     WorkStealingPool* nested) const {
@@ -157,121 +142,39 @@ double BoundsEngine::LowerBoundForX(const Tuple& outlier,
   }
   PhaseScope phase(TraceOf(gauge), TracePhase::kBoundsScan);
 
-  // Collect full-space distances of qualifying inliers; track only the
-  // smallest `needed` of them with a max-heap. Band checks pass ε as the
-  // early-exit threshold so they stop at the first overshooting attribute
-  // (the verdict is unchanged: non-negative Lp aggregates are monotone).
-  std::vector<double> heap;
-  heap.reserve(needed);
-  SubsetRows band;
-  if (dcache != nullptr) {
-    // Resolved on the calling thread: AttributeRow's lazy fill mutates
-    // under const and must never run inside a chunk.
-    band = ResolveSubsetRows(*dcache, x, evaluator_.arity());
-  }
+  // Collect full-space distances of qualifying inliers, keeping only the
+  // smallest `needed` of them. Band checks pass ε as the early-exit
+  // threshold so they stop at the first overshooting attribute (the
+  // verdict is unchanged: non-negative Lp aggregates are monotone). Pooled
+  // chunks keep their own k-smallest sets; folding them together keeps the
+  // global k-smallest multiset intact (a chunk only drops distances with
+  // `needed` smaller ones inside the chunk), so the bound and the
+  // "< needed qualifiers → +inf" verdict equal the sequential scan's.
+  // Resolved on the calling thread: AttributeRow's lazy fill mutates under
+  // const and must never run inside a chunk.
+  const SubsetRows band = ResolveSubsetRows(*dcache, x, evaluator_.arity());
   const LpNorm norm = evaluator_.norm();
-  const std::size_t n = relation_.size();
-
-  if (UseNestedScan(nested, n)) {
-    // Chunked scan. Each chunk keeps its own `needed`-smallest heap; the
-    // merge takes the needed-th smallest of the concatenation, which equals
-    // the sequential heap front: a chunk only ever discards distances that
-    // already have `needed` smaller ones within the chunk, so the global
-    // k-smallest multiset survives intact. The "< needed qualifiers → +inf"
-    // verdict survives too — kept sizes sum below `needed` iff the total
-    // qualifier count is below `needed`.
-    const std::size_t chunks =
-        (n + kNestedScanGrain - 1) / kNestedScanGrain;
-    std::vector<std::vector<double>> chunk_heaps(chunks);
-    std::atomic<bool> aborted{false};
-    const ChunkSpanRecorder chunk_spans(TraceOf(gauge),
-                                        TracePhase::kBoundsScan);
-    nested->ParallelFor(
-        0, n, kNestedScanGrain,
-        [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-          const std::uint64_t chunk_start =
-              chunk_spans.enabled() ? TraceNowNs() : 0;
-          std::vector<double>& local = chunk_heaps[chunk];
-          local.reserve(needed);
-          std::size_t polls = 0;
-          for (std::size_t row = begin; row < end; ++row) {
-            if (gauge != nullptr && (++polls % kNestedPollStride) == 0) {
-              if (aborted.load(std::memory_order_relaxed)) return;
-              if (gauge->HardStopRequested()) {
-                aborted.store(true, std::memory_order_relaxed);
-                return;
-              }
-            }
-            double dx =
-                dcache != nullptr
-                    ? SubsetDistanceWithin(band, norm, row, constraint_.epsilon)
-                    : evaluator_.DistanceOnWithin(x, outlier, relation_[row],
-                                                  constraint_.epsilon);
-            if (dx > constraint_.epsilon) continue;
-            double d = dcache != nullptr
-                           ? dcache->FullDistance(row)
-                           : evaluator_.Distance(outlier, relation_[row]);
-            if (local.size() < needed) {
-              local.push_back(d);
-              std::push_heap(local.begin(), local.end());
-            } else if (d < local.front()) {
-              std::pop_heap(local.begin(), local.end());
-              local.back() = d;
-              std::push_heap(local.begin(), local.end());
-            }
-          }
-          if (chunk_spans.enabled()) {
-            chunk_spans.Record(chunk_start, chunk, end - begin);
-          }
-        });
-    if (aborted.load(std::memory_order_relaxed)) {
-      gauge->RecordHardStop();
-      NoteAbandonedScan(gauge);
-      return 0;  // same safe value as an abandoned sequential scan
-    }
-    std::vector<double> all;
-    all.reserve(chunks * needed);
-    for (const std::vector<double>& local : chunk_heaps) {
-      all.insert(all.end(), local.begin(), local.end());
-    }
-    if (all.size() < needed) {
-      return std::numeric_limits<double>::infinity();
-    }
-    std::nth_element(all.begin(),
-                     all.begin() + static_cast<std::ptrdiff_t>(needed - 1),
-                     all.end());
-    double bound = all[needed - 1] - constraint_.epsilon;
-    return bound > 0 ? bound : 0;
-  }
-
-  for (std::size_t row = 0; row < n; ++row) {
-    // An abandoned scan returns the uninformative bound 0: nothing is
-    // pruned on its account, and the caller unwinds via gauge->stopped().
-    if (gauge != nullptr && !gauge->KeepScanning()) {
-      NoteAbandonedScan(gauge);
-      return 0;
-    }
-    double dx = dcache != nullptr
-                    ? SubsetDistanceWithin(band, norm, row, constraint_.epsilon)
-                    : evaluator_.DistanceOnWithin(x, outlier, relation_[row],
-                                                  constraint_.epsilon);
-    if (dx > constraint_.epsilon) continue;
-    double d = dcache != nullptr ? dcache->FullDistance(row)
-                                 : evaluator_.Distance(outlier, relation_[row]);
-    if (heap.size() < needed) {
-      heap.push_back(d);
-      std::push_heap(heap.begin(), heap.end());
-    } else if (d < heap.front()) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = d;
-      std::push_heap(heap.begin(), heap.end());
-    }
-  }
-  if (heap.size() < needed) {
+  const double eps = constraint_.epsilon;
+  const RowScan scan{relation_.size(), gauge, nested, TraceOf(gauge)};
+  std::optional<KSmallest> nearest = ScanRows(
+      scan, [needed] { return KSmallest(needed); },
+      [&](KSmallest& k, std::size_t begin, std::size_t end) {
+        for (std::size_t row = begin; row < end; ++row) {
+          if (SubsetDistanceWithin(band, norm, row, eps) > eps) continue;
+          k.Offer(dcache->FullDistance(row));
+        }
+      },
+      [](KSmallest& total, const KSmallest& part) {
+        for (double d : part.heap) total.Offer(d);
+      });
+  // An abandoned scan returns the uninformative bound 0: nothing is pruned
+  // on its account, and the caller unwinds via gauge->stopped().
+  if (!nearest.has_value()) return 0;
+  if (nearest->heap.size() < needed) {
     // Fewer than η−1 inliers are reachable keeping X fixed: infeasible.
     return std::numeric_limits<double>::infinity();
   }
-  double bound = heap.front() - constraint_.epsilon;
+  double bound = nearest->heap.front() - eps;
   return bound > 0 ? bound : 0;
 }
 
@@ -279,7 +182,6 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
     const Tuple& outlier, const AttributeSet& x, BudgetGauge* gauge,
     const SearchDistanceCache* dcache, WorkStealingPool* nested) const {
   const std::size_t arity = evaluator_.arity();
-  AttributeSet complement = x.ComplementIn(arity);
   if (gauge != nullptr) {
     ++gauge->stats().index_queries;
     ++gauge->stats().prop5_bounds;
@@ -293,129 +195,41 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
   //      by an exact neighbor count. (a)'s sufficient condition is very
   //      conservative when δ_η runs close to ε (chains, sparse clusters,
   //      high dimension), where (b) still finds cheap feasible splices.
-  double best_qualified = std::numeric_limits<double>::infinity();
-  std::size_t best_qualified_row = static_cast<std::size_t>(-1);
-  double best_any = std::numeric_limits<double>::infinity();
-  std::size_t best_any_row = static_cast<std::size_t>(-1);
-  SubsetRows band, splice_rows;
-  if (dcache != nullptr) {
-    band = ResolveSubsetRows(*dcache, x, arity);
-    splice_rows = ResolveSubsetRows(*dcache, complement, arity);
-  }
+  // Pooled chunks track their own minima with chunk-local cost caps;
+  // accepted splice costs are always exact, so each chunk's minima equal a
+  // sequential scan of its rows, and folding them in ascending chunk order
+  // with strict < picks the global minimum at its lowest row — exactly the
+  // sequential first-minimum.
+  const SubsetRows band = ResolveSubsetRows(*dcache, x, arity);
+  const SubsetRows splice_rows =
+      ResolveSubsetRows(*dcache, x.ComplementIn(arity), arity);
   const LpNorm norm = evaluator_.norm();
-  const std::size_t n = relation_.size();
-
-  if (UseNestedScan(nested, n)) {
-    // Chunked donor scan. Each chunk tracks its own (qualified, any) minima
-    // with a chunk-local cost cap; accepted splice costs are always exact
-    // (partial Lp sums are monotone, so a cost below the cap never trips
-    // the early exit), so each chunk's minima equal a sequential scan of
-    // its rows. Merging in ascending chunk order with strict < then picks
-    // the globally minimal cost at its lowest row — exactly the sequential
-    // first-minimum. The splice + feasibility tail below stays sequential.
-    struct ChunkBest {
-      double qualified = std::numeric_limits<double>::infinity();
-      std::size_t qualified_row = static_cast<std::size_t>(-1);
-      double any = std::numeric_limits<double>::infinity();
-      std::size_t any_row = static_cast<std::size_t>(-1);
-    };
-    const std::size_t chunks =
-        (n + kNestedScanGrain - 1) / kNestedScanGrain;
-    std::vector<ChunkBest> bests(chunks);
-    std::atomic<bool> aborted{false};
-    const ChunkSpanRecorder chunk_spans(TraceOf(gauge),
-                                        TracePhase::kBoundsScan);
-    nested->ParallelFor(
-        0, n, kNestedScanGrain,
-        [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-          const std::uint64_t chunk_start =
-              chunk_spans.enabled() ? TraceNowNs() : 0;
-          ChunkBest& best = bests[chunk];
-          std::size_t polls = 0;
-          for (std::size_t row = begin; row < end; ++row) {
-            if (gauge != nullptr && (++polls % kNestedPollStride) == 0) {
-              if (aborted.load(std::memory_order_relaxed)) return;
-              if (gauge->HardStopRequested()) {
-                aborted.store(true, std::memory_order_relaxed);
-                return;
-              }
-            }
-            double dx =
-                dcache != nullptr
-                    ? SubsetDistanceWithin(band, norm, row, constraint_.epsilon)
-                    : evaluator_.DistanceOnWithin(x, outlier, relation_[row],
-                                                  constraint_.epsilon);
-            if (dx > constraint_.epsilon) continue;
-            double cost_cap = std::max(best.any, best.qualified);
-            double cost =
-                dcache != nullptr
-                    ? SubsetDistanceWithin(splice_rows, norm, row, cost_cap)
-                    : evaluator_.DistanceOnWithin(complement, outlier,
-                                                  relation_[row], cost_cap);
-            if (cost < best.any) {
-              best.any = cost;
-              best.any_row = row;
-            }
-            if (cache_.delta(row) <= constraint_.epsilon - dx &&
-                cost < best.qualified) {
-              best.qualified = cost;
-              best.qualified_row = row;
-            }
-          }
-          if (chunk_spans.enabled()) {
-            chunk_spans.Record(chunk_start, chunk, end - begin);
-          }
-        });
-    if (aborted.load(std::memory_order_relaxed)) {
-      gauge->RecordHardStop();
-      NoteAbandonedScan(gauge);
-      return std::nullopt;  // never a bound from a partial donor scan
-    }
-    for (const ChunkBest& best : bests) {
-      if (best.any < best_any) {
-        best_any = best.any;
-        best_any_row = best.any_row;
-      }
-      if (best.qualified < best_qualified) {
-        best_qualified = best.qualified;
-        best_qualified_row = best.qualified_row;
-      }
-    }
-  } else {
-    for (std::size_t row = 0; row < n; ++row) {
-      // No partial donor scan may produce a bound: abandoning returns "no
-      // upper bound" so the incumbent is never replaced by a half-searched
-      // splice (anytime-soundness — see DESIGN.md).
-      if (gauge != nullptr && !gauge->KeepScanning()) {
-        NoteAbandonedScan(gauge);
-        return std::nullopt;
-      }
-      double dx =
-          dcache != nullptr
-              ? SubsetDistanceWithin(band, norm, row, constraint_.epsilon)
-              : evaluator_.DistanceOnWithin(x, outlier, relation_[row],
-                                            constraint_.epsilon);
-      if (dx > constraint_.epsilon) continue;
-      // A splice cost beyond both incumbents can update neither, so the
-      // larger incumbent is a sound early-exit threshold (accepted values
-      // are exact, rejected ones come back as +infinity and fail both `<`).
-      double cost_cap = std::max(best_any, best_qualified);
-      double cost = dcache != nullptr
-                        ? SubsetDistanceWithin(splice_rows, norm, row, cost_cap)
-                        : evaluator_.DistanceOnWithin(complement, outlier,
-                                                      relation_[row], cost_cap);
-      if (cost < best_any) {
-        best_any = cost;
-        best_any_row = row;
-      }
-      if (cache_.delta(row) <= constraint_.epsilon - dx &&
-          cost < best_qualified) {
-        best_qualified = cost;
-        best_qualified_row = row;
-      }
-    }
-  }
-  if (best_any_row == static_cast<std::size_t>(-1)) return std::nullopt;
+  const double eps = constraint_.epsilon;
+  const RowScan scan{relation_.size(), gauge, nested, TraceOf(gauge)};
+  std::optional<Donors> donors = ScanRows(
+      scan, [] { return Donors(); },
+      [&](Donors& best, std::size_t begin, std::size_t end) {
+        for (std::size_t row = begin; row < end; ++row) {
+          const double dx = SubsetDistanceWithin(band, norm, row, eps);
+          if (dx > eps) continue;
+          // A splice cost beyond both incumbents can update neither, so the
+          // larger incumbent is a sound early-exit threshold (accepted
+          // values are exact, rejected ones come back as +infinity and
+          // fail both `<`).
+          const double cost = SubsetDistanceWithin(
+              splice_rows, norm, row, std::max(best.any, best.qualified));
+          best.OfferAny(cost, row);
+          if (cache_.delta(row) <= eps - dx) best.OfferQualified(cost, row);
+        }
+      },
+      [](Donors& total, const Donors& part) {
+        total.OfferAny(part.any, part.any_row);
+        total.OfferQualified(part.qualified, part.qualified_row);
+      });
+  // No partial donor scan may produce a bound: abandoning returns "no upper
+  // bound" so the incumbent is never replaced by a half-searched splice
+  // (anytime-soundness — see DESIGN.md).
+  if (!donors.has_value() || donors->any_row == kNoRow) return std::nullopt;
 
   auto splice = [&](std::size_t row) {
     UpperBound ub;
@@ -432,12 +246,12 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
   };
 
   // Prefer the strictly cheaper unqualified splice when it verifies.
-  if (best_any < best_qualified) {
-    UpperBound candidate = splice(best_any_row);
+  if (donors->any < donors->qualified) {
+    UpperBound candidate = splice(donors->any_row);
     if (IsFeasible(candidate.adjusted, gauge)) return candidate;
   }
-  if (best_qualified_row == static_cast<std::size_t>(-1)) return std::nullopt;
-  return splice(best_qualified_row);
+  if (donors->qualified_row == kNoRow) return std::nullopt;
+  return splice(donors->qualified_row);
 }
 
 bool BoundsEngine::IsFeasible(const Tuple& candidate,

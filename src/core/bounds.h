@@ -27,21 +27,24 @@ class WorkStealingPool;
 ///
 /// Every method takes an optional BudgetGauge. With a gauge, each bound
 /// computation is metered as one logical index query and the O(n) row scans
-/// poll the gauge (strided) so an expired deadline or a cancellation stops
-/// a scan mid-flight. An abandoned computation returns a *safe* value — an
-/// uninformative lower bound (0), no upper bound, or "not feasible" — never
-/// a partial result; callers detect the stop via gauge->stopped() and
-/// unwind with their incumbent. Without a gauge, behaviour is unchanged.
+/// poll the gauge every kScanPollStride rows, so an expired deadline or a
+/// cancellation stops a scan mid-flight. An abandoned computation returns a
+/// *safe* value — an uninformative lower bound (0), no upper bound, or "not
+/// feasible" — never a partial result; callers detect the stop via
+/// gauge->stopped() and unwind with their incumbent. Without a gauge,
+/// behaviour is unchanged.
 ///
-/// The O(n) scans of LowerBoundForX / UpperBoundForX optionally chunk
-/// across a WorkStealingPool (`nested` parameter): chunk boundaries are a
-/// pure function of (n, grain), each chunk reduces into its own slot, and
-/// the merges below are order-insensitive reconstructions of the
+/// LowerBoundForX and UpperBoundForX each scan the band once, with one row
+/// loop run by the chunked row-scan primitive of core/row_scan.h. The
+/// inline scan is a single chunk over [0, n); with a `nested` pool the
+/// same loop runs per chunk, chunk boundaries being a pure function of
+/// (n, grain). The merges are order-insensitive reconstructions of the
 /// sequential reduction (k-smallest multiset for Prop 3; ascending-chunk
-/// strict-< minimum for Prop 5), so results stay bit-identical to the
-/// sequential scan for any worker count. Parallel chunks poll the gauge's
-/// thread-safe HardStopRequested() instead of KeepScanning(); on a stop
-/// the owner records the reason and returns the same safe value.
+/// strict-< first minimum for Prop 5), so results stay bit-identical for
+/// any worker count. The inline scan polls KeepScanning(), which also hits
+/// the `bounds.scan` fault site; pooled chunks poll the thread-safe
+/// HardStopRequested(), and on a stop the owner records the reason and
+/// returns the same safe value.
 class BoundsEngine {
  public:
   /// `relation` is the inlier set r; `cache` holds δ_η(t) per inlier
@@ -63,29 +66,28 @@ class BoundsEngine {
   /// t_o *on X* is ≤ ε). Returns +infinity when fewer than η inliers
   /// qualify — no feasible adjustment with unadjusted X exists at all.
   ///
-  /// `dcache`, when supplied, must be the per-search cache built for this
-  /// `outlier` over this relation; the full-space distances and memoized
-  /// attribute rows then replace the per-X recomputation. Results are
-  /// bit-identical with or without it. `nested`, when supplied, chunks the
-  /// row scan across idle pool workers (see the class comment); any lazy
-  /// dcache rows for X are resolved on the calling thread first.
+  /// `dcache` must be non-null: the per-search cache built for this
+  /// `outlier` over this relation, whose full-space distances and memoized
+  /// attribute rows the scan reads. `nested`, when supplied, chunks the row
+  /// scan across idle pool workers (see the class comment); any lazy dcache
+  /// rows for X are resolved on the calling thread first.
   double LowerBoundForX(const Tuple& outlier, const AttributeSet& x,
-                        BudgetGauge* gauge = nullptr,
-                        const SearchDistanceCache* dcache = nullptr,
+                        BudgetGauge* gauge, const SearchDistanceCache* dcache,
                         WorkStealingPool* nested = nullptr) const;
 
   /// Upper bound of Proposition 5. Finds t_2 ∈ r_ε(t_o[X]) with
   /// δ_η(t_2) ≤ ε − Δ(t_o[X], t_2[X]) minimizing Δ(t_o[R\X], t_2[R\X]), and
   /// returns the spliced tuple t_o^u (t_o on X, t_2 on R\X) together with
-  /// its adjustment cost. Empty when no such t_2 exists.
+  /// its adjustment cost. Empty when no such t_2 exists. `dcache` and
+  /// `nested` are as for LowerBoundForX.
   struct UpperBound {
     Tuple adjusted;
     double cost = 0;
     std::size_t donor_row = 0;  ///< row of t_2 in r
   };
   std::optional<UpperBound> UpperBoundForX(
-      const Tuple& outlier, const AttributeSet& x, BudgetGauge* gauge = nullptr,
-      const SearchDistanceCache* dcache = nullptr,
+      const Tuple& outlier, const AttributeSet& x, BudgetGauge* gauge,
+      const SearchDistanceCache* dcache,
       WorkStealingPool* nested = nullptr) const;
 
   /// Feasibility check: does `candidate` have ≥ η ε-neighbors in r?

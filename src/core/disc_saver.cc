@@ -72,16 +72,13 @@ DiscSaver::DiscSaver(const Relation& inliers,
                      DistanceConstraint constraint, bool enable_fast_path)
     : inliers_(inliers),
       evaluator_(evaluator),
-      constraint_(constraint),
-      enable_fast_path_(enable_fast_path) {
+      constraint_(constraint) {
   index_ = MakeNeighborIndex(inliers_, evaluator_, constraint_.epsilon);
   cache_ = std::make_unique<KthNeighborCache>(inliers_, *index_,
                                               constraint_.eta);
   bounds_ = std::make_unique<BoundsEngine>(inliers_, evaluator_, *index_,
                                            *cache_, constraint_);
-  if (enable_fast_path_) {
-    columnar_ = ColumnarView::Build(inliers_, evaluator_);
-  }
+  if (enable_fast_path) columnar_ = ColumnarView::Build(inliers_, evaluator_);
 }
 
 struct DiscSaver::SearchState {
@@ -93,7 +90,7 @@ struct DiscSaver::SearchState {
   BudgetGauge* gauge = nullptr;
   /// Per-search distance cache (full-space distances to every inlier plus
   /// memoized per-attribute rows), shared by every bound computation of this
-  /// search. Null when the fast path is disabled.
+  /// search.
   const SearchDistanceCache* dcache = nullptr;
   /// Pool serving the chunked bound scans of this search (null = inline).
   WorkStealingPool* nested = nullptr;
@@ -285,20 +282,19 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
   // across all B&B nodes of this search, so compute the vector once here
   // (the very first bound scan would have paid that cost anyway) and let
   // every LowerBoundForX/UpperBoundForX serve from it. Backed by the
-  // columnar kernels when the relation qualifies, the scalar evaluator
-  // otherwise; bit-identical either way.
-  std::optional<SearchDistanceCache> dcache;
-  if (enable_fast_path_) {
-    // `dcache.fill` fault site: the eager full-space fill is the search's
-    // single biggest allocation, so a simulated allocation failure lands
-    // here and aborts the search as retryable.
-    if (Status s = DISC_FAULT_POINT("dcache.fill"); !s.ok()) {
-      return FaultedResult(outlier, start_ns);
-    }
-    dcache.emplace(inliers_, evaluator_, outlier, columnar_.get(),
-                   &gauge.stats(), nested, strace);
-    state.dcache = &*dcache;
+  // columnar kernels when the fast path is on and the relation qualifies,
+  // the scalar evaluator otherwise; bit-identical either way.
+  //
+  // `dcache.fill` fault site: the eager full-space fill is the search's
+  // single biggest allocation, so a simulated allocation failure lands here
+  // and aborts the search as retryable.
+  if (Status s = DISC_FAULT_POINT("dcache.fill"); !s.ok()) {
+    return FaultedResult(outlier, start_ns);
   }
+  const SearchDistanceCache dcache(inliers_, evaluator_, outlier,
+                                   columnar_.get(), &gauge.stats(), nested,
+                                   strace);
+  state.dcache = &dcache;
 
   // The X = emptyset upper bound (Lemma 4 flavour): nearest substitution-
   // style donor. In unrestricted mode it seeds the incumbent directly. In

@@ -149,12 +149,13 @@ class DiscSaver {
   /// satisfy the constraint. The relation and evaluator must outlive the
   /// saver.
   ///
-  /// `enable_fast_path` controls the columnar kernels and the per-search
-  /// distance cache (results are bit-identical either way; disabling exists
-  /// for reference comparisons in tests and benchmarks). The columnar
-  /// kernels engage only when the inlier relation is all-numeric and every
-  /// metric is a scaled absolute difference (ColumnarView::Eligible); the
-  /// per-search cache engages for any schema.
+  /// Every search serves its bound scans from a per-search distance cache.
+  /// `enable_fast_path` only chooses that cache's backing: the columnar
+  /// kernels when the inlier relation is all-numeric and every metric is a
+  /// scaled absolute difference (ColumnarView::Eligible), the scalar
+  /// DistanceEvaluator otherwise or when disabled. Results are
+  /// bit-identical either way; disabling exists for reference comparisons
+  /// in tests and benchmarks.
   DiscSaver(const Relation& inliers, const DistanceEvaluator& evaluator,
             DistanceConstraint constraint, bool enable_fast_path = true);
 
@@ -262,7 +263,6 @@ class DiscSaver {
   const Relation& inliers_;
   const DistanceEvaluator& evaluator_;
   DistanceConstraint constraint_;
-  bool enable_fast_path_ = true;
   std::unique_ptr<NeighborIndex> index_;
   std::unique_ptr<KthNeighborCache> cache_;
   std::unique_ptr<BoundsEngine> bounds_;

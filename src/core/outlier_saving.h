@@ -31,9 +31,10 @@ struct OutlierSavingOptions {
   /// unchanged (0 = disabled). Errors are expected to touch only a few
   /// attributes (§1.2); natural outliers are separable in many.
   std::size_t natural_attribute_threshold = 0;
-  /// Columnar fast path + per-search distance caching for the DISC search
-  /// (see DESIGN.md, "Two-tier distance architecture"). Engages only when
-  /// the data qualifies (all-numeric schema, scaled-absolute-difference
+  /// Columnar backing for the DISC search's per-search distance cache (see
+  /// DESIGN.md, "Two-tier distance architecture"); the cache itself is
+  /// always built, scalar-backed when this is off. Engages only when the
+  /// data qualifies (all-numeric schema, scaled-absolute-difference
   /// metrics); results are bit-identical either way, so disabling exists
   /// only for reference comparisons and ablation.
   bool use_columnar_fast_path = true;

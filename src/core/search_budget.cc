@@ -4,16 +4,6 @@
 
 namespace disc {
 
-namespace {
-
-/// Row-scan polls between deadline/cancellation checks. A steady-clock read
-/// costs ~20 ns; at one check per 64 rows the overhead is invisible next to
-/// the per-row distance evaluation, while a stop is still noticed within
-/// microseconds.
-constexpr std::size_t kScanPollStride = 64;
-
-}  // namespace
-
 const char* SaveTerminationName(SaveTermination t) {
   switch (t) {
     case SaveTermination::kCompleted:
@@ -111,7 +101,6 @@ bool BudgetGauge::OnNodeExpanded(std::size_t visited_sets) {
 
 bool BudgetGauge::KeepScanning() {
   if (stopped_) return false;
-  if ((++scan_polls_ % kScanPollStride) != 0) return true;
   if (fault_scan_ != nullptr && !fault_scan_->Hit().ok()) {
     return Stop(SaveTermination::kFault);
   }

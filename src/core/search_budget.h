@@ -156,10 +156,13 @@ class BudgetGauge {
   /// unwinds and returns its incumbent.
   bool OnNodeExpanded(std::size_t visited_sets);
 
-  /// Strided cancellation/deadline poll for long row scans inside the
-  /// bound computations. Returns false when the scan must abandon; the
-  /// caller then returns a *safe* value (uninformative lower bound, no
-  /// upper bound) and the search unwinds via stopped().
+  /// Fault/cancellation/deadline poll for an inline row scan inside the
+  /// bound computations, which call it once per kScanPollStride rows
+  /// (core/row_scan.h). Hits the `bounds.scan` fault site, then checks
+  /// cancellation → deadline. Returns false when the scan must abandon
+  /// (also once any stop was recorded); the caller then returns a *safe*
+  /// value (uninformative lower bound, no upper bound) and the search
+  /// unwinds via stopped().
   bool KeepScanning();
 
   /// Post-search refinement check: refinement may proceed unless a hard
@@ -221,14 +224,13 @@ class BudgetGauge {
   CancellationToken extra_cancellation_;
   /// Fault sites resolved once at construction (null when no injector is
   /// attached): `search.node` hit per node expansion, `bounds.scan` hit per
-  /// strided scan poll.
+  /// inline scan poll.
   FaultInjector::Site* fault_node_ = nullptr;
   FaultInjector::Site* fault_scan_ = nullptr;
   SearchTrace* trace_ = nullptr;
   SearchExplain* explain_ = nullptr;
   SearchStats stats_;
   std::size_t nodes_ = 0;
-  std::size_t scan_polls_ = 0;
   bool stopped_ = false;
   SaveTermination reason_ = SaveTermination::kCompleted;
 };

@@ -18,20 +18,21 @@ struct SearchTrace;
 /// Per-outlier-search distance cache for the branch-and-bound hot loops.
 ///
 /// Within one outlier's search, the full-space distance Δ(t_o, t) to each
-/// inlier is invariant across every B&B node, yet LowerBoundForX recomputes
-/// it at every explored X. This cache computes the full-distance vector ONCE
-/// per search and serves it from a flat array thereafter. Likewise the
+/// inlier is invariant across every B&B node. This cache computes the
+/// full-distance vector ONCE per search and serves it from a flat array to
+/// every bound scan (BoundsEngine reads nothing else). Likewise the
 /// per-attribute distances Δ(t_o[A], t[A]) are invariant; they are memoized
 /// lazily (one n-sized row per attribute, filled on first touch), turning
 /// every subset distance Δ(t_o[X], t[X]) into a short sum over cached
 /// doubles — no Value unwrapping, no virtual metric dispatch.
 ///
-/// Determinism contract: cached entries are produced by exactly the scalar
-/// arithmetic (via FlatKernel when a ColumnarView is supplied, whose kernels
-/// are bit-identical to DistanceEvaluator by construction, or via the
-/// evaluator itself otherwise), and subset sums replay the canonical
-/// LpAccumulator recurrence in increasing attribute order. Every value and
-/// every threshold verdict matches the uncached path bit for bit.
+/// Backing: a ColumnarView when one is supplied (DiscSaver's fast path on
+/// an eligible relation), the scalar DistanceEvaluator otherwise. Either
+/// way cached entries are produced by exactly the scalar arithmetic (the
+/// FlatKernel is bit-identical to DistanceEvaluator by construction), and
+/// subset sums replay the canonical LpAccumulator recurrence in increasing
+/// attribute order, so every value and every threshold verdict equals the
+/// definitional DistanceEvaluator computation bit for bit.
 ///
 /// Thread-safety: NONE — the lazy rows mutate under const. A cache is a
 /// per-search, stack-local object owned by a single worker; it is never
@@ -44,8 +45,9 @@ class SearchDistanceCache {
   /// `evaluator`. All references must outlive the cache; `outlier` must not
   /// be mutated while the cache is live. `stats` (optional) receives one
   /// dcache_miss per lazily filled attribute row and one dcache_hit per
-  /// row request served from the memo. `pool` (optional) parallelizes the
-  /// eager full-distance fill — each row's entry is independent, so chunked
+  /// row request served from the memo. `pool` (optional) chunks the eager
+  /// full-distance fill with the bound scans' row-scan primitive
+  /// (core/row_scan.h) — each row's entry is independent, so chunked
   /// writes produce the identical vector; the lazy attribute rows stay
   /// single-threaded (they mutate under const and must only ever be touched
   /// by the owning search thread). `trace` (optional) charges the eager and
@@ -66,22 +68,20 @@ class SearchDistanceCache {
   /// Cached full-space distance Δ(t_o, t_row).
   double FullDistance(std::size_t row) const { return full_[row]; }
 
-  /// Subset distance Δ(t_o[X], t_row[X]) from the memoized attribute rows —
-  /// bit-identical to DistanceEvaluator::DistanceOn.
-  double DistanceOn(const AttributeSet& x, std::size_t row) const;
-
-  /// Subset distance with early exit past `threshold` (+infinity), matching
-  /// DistanceEvaluator::DistanceOnWithin bit for bit.
+  /// Subset distance Δ(t_o[X], t_row[X]) from the memoized attribute rows,
+  /// with early exit past `threshold` (+infinity), matching
+  /// DistanceEvaluator::DistanceOnWithin bit for bit. A per-row convenience
+  /// for callers outside the bound scans, which resolve attribute_row()
+  /// once per scan instead.
   double DistanceOnWithin(const AttributeSet& x, std::size_t row,
                           double threshold) const;
 
   /// The memoized n-entry row of Δ(t_o[a], t_i[a]) for attribute `a`,
-  /// filled on first touch. For scans that touch every row (the bound
-  /// loops), resolving the subset's row pointers once and accumulating
-  /// inline beats a DistanceOnWithin call per row; the per-row arithmetic
-  /// is identical (same values, same canonical attribute order). Hit/miss
-  /// is metered at this resolution granularity (one event per row request),
-  /// never inside the per-attribute accumulation loops.
+  /// filled on first touch. Scans that touch every row (the bound loops)
+  /// resolve the subset's row pointers once and accumulate inline, with the
+  /// same per-row arithmetic as DistanceOnWithin. Hit/miss is metered at
+  /// this resolution granularity (one event per row request), never inside
+  /// the per-attribute accumulation loops.
   const double* attribute_row(std::size_t a) const {
     if (stats_ != nullptr && !attr_rows_[a].empty()) ++stats_->dcache_hits;
     return AttributeRow(a);

@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "bound_oracle.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/bounds.h"
@@ -390,11 +391,14 @@ TEST(SearchDistanceCacheTest, MatchesEvaluatorColumnarAndScalarBacked) {
       double expected = ev.Distance(outlier, r[row]);
       EXPECT_EQ(with_view.FullDistance(row), expected);
       EXPECT_EQ(without_view.FullDistance(row), expected);
+      for (std::size_t a = 0; a < dims; ++a) {
+        double want = ev.AttributeDistance(a, outlier[a], r[row][a]);
+        EXPECT_EQ(with_view.attribute_row(a)[row], want);
+        EXPECT_EQ(without_view.attribute_row(a)[row], want);
+      }
 
       AttributeSet x = RandomSubset(dims, &rng);
       double sub = ev.DistanceOn(x, outlier, r[row]);
-      EXPECT_EQ(with_view.DistanceOn(x, row), sub);
-      EXPECT_EQ(without_view.DistanceOn(x, row), sub);
       for (double threshold : {0.0, sub * 0.5, sub, sub * 2.0}) {
         double want = ev.DistanceOnWithin(x, outlier, r[row], threshold);
         EXPECT_EQ(with_view.DistanceOnWithin(x, row, threshold), want);
@@ -404,7 +408,7 @@ TEST(SearchDistanceCacheTest, MatchesEvaluatorColumnarAndScalarBacked) {
   }
 }
 
-TEST(SearchDistanceCacheTest, BoundsIdenticalWithAndWithoutCache) {
+TEST(SearchDistanceCacheTest, BoundsMatchOracleOnBothBackings) {
   const std::size_t dims = 4;
   Relation r = RandomNumericRelation(150, dims, 99);
   DistanceEvaluator ev(r.schema());
@@ -418,18 +422,22 @@ TEST(SearchDistanceCacheTest, BoundsIdenticalWithAndWithoutCache) {
   Rng rng(123);
   for (int qi = 0; qi < 8; ++qi) {
     Tuple outlier = RandomQuery(dims, &rng);
-    SearchDistanceCache dcache(r, ev, outlier, view.get());
+    SearchDistanceCache columnar(r, ev, outlier, view.get());
+    SearchDistanceCache scalar(r, ev, outlier, nullptr);
     for (int xi = 0; xi < 16; ++xi) {
       AttributeSet x = RandomSubset(dims, &rng);
-      EXPECT_EQ(bounds.LowerBoundForX(outlier, x),
-                bounds.LowerBoundForX(outlier, x, nullptr, &dcache));
-      auto plain = bounds.UpperBoundForX(outlier, x);
-      auto cached = bounds.UpperBoundForX(outlier, x, nullptr, &dcache);
-      ASSERT_EQ(plain.has_value(), cached.has_value());
-      if (plain.has_value()) {
-        EXPECT_EQ(plain->cost, cached->cost);
-        EXPECT_EQ(plain->donor_row, cached->donor_row);
-        EXPECT_TRUE(plain->adjusted == cached->adjusted);
+      const double lb = oracle::LowerBound(r, ev, constraint, outlier, x);
+      const auto ub =
+          oracle::UpperBound(r, ev, knn_cache, constraint, outlier, x);
+      for (const SearchDistanceCache* dcache : {&columnar, &scalar}) {
+        EXPECT_EQ(bounds.LowerBoundForX(outlier, x, nullptr, dcache), lb);
+        auto got = bounds.UpperBoundForX(outlier, x, nullptr, dcache);
+        ASSERT_EQ(got.has_value(), ub.has_value());
+        if (ub.has_value()) {
+          EXPECT_EQ(got->cost, ub->cost);
+          EXPECT_EQ(got->donor_row, ub->donor_row);
+          EXPECT_TRUE(got->adjusted == ub->adjusted);
+        }
       }
     }
   }
@@ -475,9 +483,9 @@ TEST(SaverFastPathTest, SaveOutcomesIdenticalOnNumericData) {
 }
 
 TEST(SaverFastPathTest, SaveOutcomesIdenticalOnMixedData) {
-  // Mixed schema: the columnar view is ineligible, but the per-search cache
-  // still engages (scalar-backed) — outcomes must be identical to the fully
-  // uncached reference.
+  // Mixed schema: the columnar view is ineligible, so both savers serve
+  // their searches from a scalar-backed per-search cache; the fast-path
+  // flag must not change any outcome.
   Schema mixed(std::vector<AttributeDef>{{"x", ValueKind::kNumeric},
                                          {"name", ValueKind::kString},
                                          {"y", ValueKind::kNumeric}});

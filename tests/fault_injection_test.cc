@@ -1,12 +1,14 @@
 // FaultInjector semantics: spec parsing, trigger forms (nth / every /
 // schedule / seeded probability), fault kinds, determinism across runs with
 // the same seed, the max_fires cap under concurrent hits, the global
-// attach/detach contract, and the zero-overhead no-op path when detached.
+// attach/detach contract, the zero-overhead no-op path when detached, and
+// a search-level `bounds.scan` fault: sound abort, clean retry.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -14,7 +16,9 @@
 
 #include "common/fault.h"
 #include "common/metrics.h"
+#include "common/random.h"
 #include "common/status.h"
+#include "core/disc_saver.h"
 
 namespace disc {
 namespace {
@@ -253,6 +257,77 @@ TEST(FaultInjector, AddFromStringArmsMultipleSites) {
   EXPECT_FALSE(injector.site("a")->Hit().ok());
   EXPECT_FALSE(injector.site("b")->Hit().ok());
   EXPECT_FALSE(injector.AddFromString("bad spec").ok());
+}
+
+TEST(FaultInjector, BoundsScanFaultAbortsSearchSoundlyAndRetriesClean) {
+  // Inliers: one Gaussian cluster. Outliers: cluster points with one or
+  // two attributes pushed far away, so each search scans many bands.
+  Rng rng(2027);
+  Relation inliers(Schema::Numeric(3));
+  for (int i = 0; i < 300; ++i) {
+    inliers.AppendUnchecked(Tuple::Numeric(
+        {rng.Gaussian(0, 1), rng.Gaussian(0, 1), rng.Gaussian(0, 1)}));
+  }
+  std::vector<Tuple> outliers;
+  for (int i = 0; i < 4; ++i) {
+    Tuple t = Tuple::Numeric(
+        {rng.Gaussian(0, 0.5), rng.Gaussian(0, 0.5), rng.Gaussian(0, 0.5)});
+    t[i % 3] = Value(12.0 + i);
+    if (i == 3) t[0] = Value(-9.0);
+    outliers.push_back(std::move(t));
+  }
+  DistanceEvaluator ev(inliers.schema());
+  DiscSaver saver(inliers, ev, {1.0, 5});
+  const std::vector<SaveResult> clean = saver.SaveAll(outliers);
+  for (const SaveResult& r : clean) {
+    ASSERT_EQ(r.termination, SaveTermination::kCompleted);
+  }
+
+  // A fault mid-search: kFault, and the tuple is either a feasible
+  // adjustment (the incumbent) or left untouched — never a partial one.
+  for (const char* spec : {"bounds.scan:error:nth=3",
+                           "bounds.scan:error:nth=12"}) {
+    FaultInjector injector;
+    ASSERT_TRUE(injector.AddFromString(spec).ok());
+    AttachGlobalFaultInjector(&injector);
+    const SaveResult faulted = saver.Save(outliers[0]);
+    AttachGlobalFaultInjector(nullptr);
+    EXPECT_EQ(injector.fires("bounds.scan"), 1u) << spec;
+    EXPECT_EQ(faulted.termination, SaveTermination::kFault) << spec;
+    EXPECT_TRUE(faulted.adjusted == outliers[0] ||
+                saver.bounds().IsFeasible(faulted.adjusted))
+        << spec;
+    if (faulted.feasible) {
+      EXPECT_TRUE(saver.bounds().IsFeasible(faulted.adjusted)) << spec;
+    }
+  }
+
+  // One fault in the batch, retried once: bit-identical to the clean run.
+  FaultInjector injector;
+  ASSERT_TRUE(injector.AddFromString("bounds.scan:error:nth=12,max=1").ok());
+  AttachGlobalFaultInjector(&injector);
+  BatchRecovery recovery;
+  recovery.retry.max_attempts = 2;
+  recovery.retry.initial_backoff = std::chrono::milliseconds(1);
+  const std::vector<SaveResult> retried =
+      saver.SaveAll(outliers, {}, nullptr, {}, nullptr, recovery);
+  AttachGlobalFaultInjector(nullptr);
+  EXPECT_EQ(injector.fires("bounds.scan"), 1u);
+  ASSERT_EQ(retried.size(), clean.size());
+  std::uint64_t retries = 0;
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    EXPECT_EQ(retried[i].termination, clean[i].termination) << i;
+    EXPECT_EQ(retried[i].feasible, clean[i].feasible) << i;
+    EXPECT_TRUE(retried[i].adjusted == clean[i].adjusted) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(retried[i].cost),
+              std::bit_cast<std::uint64_t>(clean[i].cost))
+        << i;
+    SearchStats work = retried[i].stats;
+    retries += work.retries;
+    work.retries = clean[i].stats.retries;
+    EXPECT_TRUE(work.SameWork(clean[i].stats)) << i;
+  }
+  EXPECT_EQ(retries, 1u);
 }
 
 }  // namespace

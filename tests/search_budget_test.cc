@@ -13,9 +13,14 @@
 
 #include "common/cancellation.h"
 #include "common/deadline.h"
+#include "common/fault.h"
 #include "common/status.h"
+#include "core/bounds.h"
+#include "core/search_distance_cache.h"
 #include "core/search_stats.h"
 #include "index/brute_force_index.h"
+#include "index/index_factory.h"
+#include "index/kth_neighbor_cache.h"
 
 namespace disc {
 namespace {
@@ -256,6 +261,44 @@ TEST(BudgetGauge, KeepScanningDetectsCancellationWithinStride) {
   EXPECT_TRUE(stopped);
   EXPECT_EQ(gauge.reason(), SaveTermination::kCancelled);
   EXPECT_FALSE(gauge.KeepScanning());  // latched
+}
+
+TEST(BudgetGauge, ScanFaultStopsBoundScansWithinOneStride) {
+  // One poll stride of inliers (64 rows on a line) and an error fault at
+  // the first `bounds.scan` hit: each bound scan must stop with kFault and
+  // return its safe value instead of the bound it would have computed.
+  Relation r(Schema::Numeric(1));
+  for (int i = 0; i < 64; ++i) r.AppendUnchecked(Tuple::Numeric({1.0 * i}));
+  DistanceEvaluator ev(r.schema());
+  const DistanceConstraint constraint{1.0, 3};
+  auto index = MakeNeighborIndex(r, ev, constraint.epsilon);
+  KthNeighborCache knn(r, *index, constraint.eta);
+  BoundsEngine engine(r, ev, *index, knn, constraint);
+  const Tuple outlier = Tuple::Numeric({100.0});
+  SearchDistanceCache dcache(r, ev, outlier);
+  // Unfaulted, the X = ∅ lower bound is informative (38 − ε = 37).
+  EXPECT_EQ(engine.LowerBoundForX(outlier, AttributeSet(), nullptr, &dcache),
+            37.0);
+
+  for (bool upper : {false, true}) {
+    FaultInjector injector;
+    ASSERT_TRUE(injector.AddFromString("bounds.scan:error:nth=0").ok());
+    AttachGlobalFaultInjector(&injector);
+    BudgetGauge gauge(nullptr);  // sites resolve at construction
+    if (upper) {
+      EXPECT_FALSE(engine.UpperBoundForX(outlier, AttributeSet(), &gauge,
+                                         &dcache)
+                       .has_value());
+    } else {
+      EXPECT_EQ(engine.LowerBoundForX(outlier, AttributeSet(), &gauge,
+                                      &dcache),
+                0.0);
+    }
+    AttachGlobalFaultInjector(nullptr);
+    EXPECT_TRUE(gauge.stopped());
+    EXPECT_EQ(gauge.reason(), SaveTermination::kFault);
+    EXPECT_EQ(injector.fires("bounds.scan"), 1u);
+  }
 }
 
 TEST(BudgetGauge, FirstStopReasonIsSticky) {
