@@ -8,13 +8,6 @@
 
 namespace disc {
 
-namespace {
-
-/// Worker index within the owning WorkStealingPool; -1 on non-workers.
-thread_local int t_worker_index = -1;
-
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t num_threads, std::size_t queue_capacity)
     : queue_capacity_(std::max<std::size_t>(1, queue_capacity)) {
   num_threads = std::max<std::size_t>(1, num_threads);
@@ -126,8 +119,6 @@ std::size_t WorkStealingPool::DefaultThreadCount() {
   return ThreadPool::DefaultThreadCount();
 }
 
-int WorkStealingPool::CurrentWorkerIndex() { return t_worker_index; }
-
 void WorkStealingPool::RunTask(std::unique_lock<std::mutex>& lock,
                                QueuedTask item, bool stolen) {
   ++stats_.tasks;
@@ -181,7 +172,6 @@ bool WorkStealingPool::RunNestedChunk(std::unique_lock<std::mutex>& lock,
 }
 
 void WorkStealingPool::WorkerLoop(std::size_t self) {
-  t_worker_index = static_cast<int>(self);
   const std::size_t w = deques_.size();  // sized before any thread starts
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {

@@ -182,12 +182,6 @@ class WorkStealingPool {
   /// Worker count for CPU-bound work: hardware concurrency, at least 1.
   static std::size_t DefaultThreadCount();
 
-  /// The calling thread's worker index within its owning pool, or -1 when
-  /// the caller is not a pool worker. Thread-local, set once per worker at
-  /// startup; per-batch span buffers (SpanCollector) key their slot on it
-  /// so workers record trace spans without synchronization.
-  static int CurrentWorkerIndex();
-
  private:
   struct Batch;
   struct NestedGroup;

@@ -90,35 +90,6 @@ const char* TracePhaseName(TracePhase phase) {
 }
 
 // ---------------------------------------------------------------------------
-// SpanCollector
-// ---------------------------------------------------------------------------
-
-SpanCollector::SpanCollector(std::size_t slots)
-    : slots_(std::max<std::size_t>(1, slots)) {}
-
-void SpanCollector::Record(std::size_t slot, TraceSpan span) {
-  slots_[slot].spans.push_back(std::move(span));
-}
-
-std::vector<TraceSpan> SpanCollector::Drain() {
-  std::vector<TraceSpan> all;
-  std::size_t total = 0;
-  for (const Slot& slot : slots_) total += slot.spans.size();
-  all.reserve(total);
-  for (Slot& slot : slots_) {
-    for (TraceSpan& span : slot.spans) all.push_back(std::move(span));
-    slot.spans.clear();
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const TraceSpan& a, const TraceSpan& b) {
-                     if (a.trace_id != b.trace_id)
-                       return a.trace_id < b.trace_id;
-                     return a.span_id < b.span_id;
-                   });
-  return all;
-}
-
-// ---------------------------------------------------------------------------
 // WallPhaseProfiler
 // ---------------------------------------------------------------------------
 
@@ -296,60 +267,6 @@ TraceRecorder* GlobalTraceRecorder() {
 
 void AttachGlobalTraceRecorder(TraceRecorder* recorder) {
   g_trace_recorder.store(recorder, std::memory_order_release);
-}
-
-// ---------------------------------------------------------------------------
-// SearchTrace + PhaseScope
-// ---------------------------------------------------------------------------
-
-void SearchTrace::FlushPhaseSpans(std::size_t slot) {
-  for (std::size_t p = 0; p < kTracePhaseCount; ++p) {
-    const PhaseAcc& acc = phases[p];
-    if (acc.count == 0) continue;
-    const TracePhase phase = static_cast<TracePhase>(p);
-    if (profiler != nullptr) profiler->Add(phase, acc.ns);
-    if (collector != nullptr) {
-      TraceSpan span;
-      span.name = TracePhaseName(phase);
-      span.start_ns = acc.first_start_ns;
-      span.duration_ns = acc.ns;
-      span.trace_id = trace_id;
-      span.span_id = PhaseSpanId(phase);
-      span.parent_id = search_span_id;
-      span.Int("count", acc.count);
-      collector->Record(slot, std::move(span));
-    }
-  }
-}
-
-PhaseScope::PhaseScope(SearchTrace* trace, TracePhase phase)
-    : trace_(trace), prev_(nullptr), phase_(phase) {
-  if (trace_ == nullptr || !trace_->enabled()) {
-    trace_ = nullptr;
-    return;
-  }
-  const std::uint64_t now = TraceNowNs();
-  prev_ = static_cast<PhaseScope*>(trace_->active_scope);
-  if (prev_ != nullptr) {
-    // Pause the enclosing phase: bank its running segment.
-    prev_->banked_ns_ += now - prev_->segment_start_ns_;
-  }
-  first_start_ns_ = now;
-  segment_start_ns_ = now;
-  trace_->active_scope = this;
-}
-
-PhaseScope::~PhaseScope() {
-  if (trace_ == nullptr) return;
-  const std::uint64_t now = TraceNowNs();
-  banked_ns_ += now - segment_start_ns_;
-  SearchTrace::PhaseAcc& acc =
-      trace_->phases[static_cast<std::size_t>(phase_)];
-  acc.ns += banked_ns_;
-  acc.count += 1;
-  if (acc.first_start_ns == 0) acc.first_start_ns = first_start_ns_;
-  if (prev_ != nullptr) prev_->segment_start_ns_ = now;  // resume outer
-  trace_->active_scope = prev_;
 }
 
 // ---------------------------------------------------------------------------

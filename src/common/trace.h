@@ -101,8 +101,9 @@ std::uint64_t DeriveSpanId(std::uint64_t parent, TraceSpanKind kind,
 // ---------------------------------------------------------------------------
 
 /// The wall-phase taxonomy of one save. Every nanosecond of a search's wall
-/// time belongs to at most one phase at a time (PhaseScope pauses the outer
-/// phase while an inner one runs), so the per-phase totals sum to ≤ wall.
+/// time belongs to at most one phase at a time (PhaseScope in
+/// core/search_observation.h pauses the outer phase while an inner one
+/// runs), so the per-phase totals sum to ≤ wall.
 enum class TracePhase : std::size_t {
   kIndexQuery = 0,  ///< kNN / range / feasibility calls into the index
   kBoundsScan,      ///< Prop-3 / Prop-5 O(n) bound computations
@@ -115,50 +116,6 @@ inline constexpr std::size_t kTracePhaseCount = 6;
 
 /// Lower-case identifier, e.g. "index_query"; also the phase span name.
 const char* TracePhaseName(TracePhase phase);
-
-// ---------------------------------------------------------------------------
-// SpanCollector — lock-free per-thread span buffers for one batch
-// ---------------------------------------------------------------------------
-
-/// Per-batch span buffer: one cache-line-padded slot per pool worker plus
-/// one for the calling thread, so hot paths append with a plain (unshared)
-/// vector push and zero synchronization — the same sharding discipline as
-/// MetricsRegistry. Drain() runs after the pool joins (the RunBatch return
-/// is the synchronization point) and returns every span sorted by
-/// (trace_id, span_id), which makes the emitted JSONL order deterministic
-/// regardless of which worker recorded what.
-class SpanCollector {
- public:
-  /// `slots` buffers; use pool->size() + 1 (workers + caller).
-  explicit SpanCollector(std::size_t slots);
-
-  /// Appends `span` to buffer `slot`. Each slot must only ever be written
-  /// by one thread at a time (worker w → slot w, non-workers → last slot).
-  void Record(std::size_t slot, TraceSpan span);
-
-  /// Moves every recorded span out, sorted by (trace_id, span_id). Must be
-  /// called only when no Record() can be in flight (after the batch joins).
-  std::vector<TraceSpan> Drain();
-
-  std::size_t slots() const { return slots_.size(); }
-
- private:
-  struct alignas(64) Slot {
-    std::vector<TraceSpan> spans;
-  };
-  std::vector<Slot> slots_;
-};
-
-/// Maps a WorkStealingPool worker index (CurrentWorkerIndex(); -1 for
-/// non-workers) to a SpanCollector slot: worker w → w, everything else →
-/// the last (caller) slot.
-inline std::size_t SpanSlotForWorker(int worker_index, std::size_t slots) {
-  if (worker_index >= 0 &&
-      static_cast<std::size_t>(worker_index) + 1 < slots) {
-    return static_cast<std::size_t>(worker_index);
-  }
-  return slots - 1;
-}
 
 // ---------------------------------------------------------------------------
 // WallPhaseProfiler — always-cheap process-wide phase accumulators
@@ -267,82 +224,15 @@ TraceRecorder* GlobalTraceRecorder();
 void AttachGlobalTraceRecorder(TraceRecorder* recorder);
 
 // ---------------------------------------------------------------------------
-// SearchTrace + PhaseScope — per-search context propagated with BudgetGauge
-// ---------------------------------------------------------------------------
-
-/// Per-search trace context: rides on the BudgetGauge (which already flows
-/// DiscSaver → BoundsEngine → SearchDistanceCache → index queries), carrying
-/// the derived ids, the span buffers and the per-phase accumulators. Owned
-/// by exactly one thread (the search's), like the gauge itself; only the
-/// chunk bodies of nested scans touch the collector from other threads, via
-/// their own slots.
-struct SearchTrace {
-  SpanCollector* collector = nullptr;
-  WallPhaseProfiler* profiler = nullptr;
-  std::uint64_t trace_id = 0;
-  std::uint64_t root_span_id = 0;    ///< the `save_outlier` pipeline span
-  std::uint64_t search_span_id = 0;  ///< parent of every phase span
-  /// Deterministic count of chunked scans started by this search; names the
-  /// kScan id of each ParallelFor so chunk ids don't depend on scheduling.
-  std::uint64_t scan_ordinal = 0;
-
-  struct PhaseAcc {
-    std::uint64_t ns = 0;
-    std::uint64_t count = 0;
-    std::uint64_t first_start_ns = 0;
-  };
-  std::array<PhaseAcc, kTracePhaseCount> phases{};
-
-  /// Innermost live PhaseScope on the owning thread (intrusive stack).
-  void* active_scope = nullptr;
-
-  /// True when any consumer is attached; all instrumentation sites gate
-  /// their clock reads on this, so a detached search pays only the branch.
-  bool enabled() const { return collector != nullptr || profiler != nullptr; }
-
-  /// The deterministic span id of this search's `phase` span.
-  std::uint64_t PhaseSpanId(TracePhase phase) const {
-    return DeriveSpanId(search_span_id, TraceSpanKind::kPhase,
-                        static_cast<std::uint64_t>(phase));
-  }
-
-  /// Emits one aggregated span per touched phase (parented under the search
-  /// span) into collector slot `slot`, and folds the totals into the
-  /// profiler. Call once at search end from the owning thread.
-  void FlushPhaseSpans(std::size_t slot);
-};
-
-/// RAII wall-phase marker. Entering a phase pauses the enclosing one (its
-/// elapsed time is banked) and resumes it on exit, so exactly one phase is
-/// charged at any instant and each edge costs one clock read. No-op (two
-/// null checks) when the search is untraced.
-class PhaseScope {
- public:
-  PhaseScope(SearchTrace* trace, TracePhase phase);
-  ~PhaseScope();
-
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  SearchTrace* trace_;
-  PhaseScope* prev_;
-  TracePhase phase_;
-  std::uint64_t first_start_ns_ = 0;  ///< construction time
-  std::uint64_t segment_start_ns_ = 0;
-  std::uint64_t banked_ns_ = 0;  ///< finished segments (excludes children)
-};
-
-// ---------------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------------
 
 /// Span consumer. Implementations must accept Emit() from any thread,
 /// concurrently: the pipeline's merge loop emits "split"/"save_outlier"
-/// spans in input order from one thread, while DiscSaver drains batched
-/// worker spans sorted by (trace_id, span_id). Every line is self-contained
-/// (ids + the "ordinal" attribute key it to its position), so consumers
-/// must not rely on line order across span kinds.
+/// spans in input order from one thread, while DiscSaver publishes each
+/// batch's search spans sorted by (trace_id, span_id). Every line is
+/// self-contained (ids + the "ordinal" attribute key it to its position),
+/// so consumers must not rely on line order across span kinds.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

@@ -5,17 +5,17 @@
 #include <limits>
 #include <vector>
 
-#include "common/trace.h"
 #include "core/row_scan.h"
+#include "core/search_observation.h"
 #include "distance/lp_norm.h"
 
 namespace disc {
 
 namespace {
 
-/// The per-search trace context riding on the gauge (null when untraced).
-inline SearchTrace* TraceOf(BudgetGauge* gauge) {
-  return gauge != nullptr ? gauge->trace() : nullptr;
+/// The per-search observation riding on the gauge (null when unobserved).
+inline SearchObservation* ObservationOf(BudgetGauge* gauge) {
+  return gauge != nullptr ? gauge->observation() : nullptr;
 }
 
 constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
@@ -120,7 +120,7 @@ double BoundsEngine::GlobalLowerBound(const Tuple& outlier,
     ++gauge->stats().index_queries;
     ++gauge->stats().index_knn_queries;
   }
-  PhaseScope phase(TraceOf(gauge), TracePhase::kIndexQuery);
+  PhaseScope phase(ObservationOf(gauge), TracePhase::kIndexQuery);
   std::vector<Neighbor> nn = index_.KNearest(outlier, needed);
   if (nn.size() < needed) return 0;
   double bound = nn.back().distance - constraint_.epsilon;
@@ -140,7 +140,7 @@ double BoundsEngine::LowerBoundForX(const Tuple& /*outlier*/,
     ++gauge->stats().index_queries;
     ++gauge->stats().prop3_bounds;
   }
-  PhaseScope phase(TraceOf(gauge), TracePhase::kBoundsScan);
+  PhaseScope phase(ObservationOf(gauge), TracePhase::kBoundsScan);
 
   // Collect full-space distances of qualifying inliers, keeping only the
   // smallest `needed` of them. Band checks pass ε as the early-exit
@@ -155,7 +155,7 @@ double BoundsEngine::LowerBoundForX(const Tuple& /*outlier*/,
   const SubsetRows band = ResolveSubsetRows(*dcache, x, evaluator_.arity());
   const LpNorm norm = evaluator_.norm();
   const double eps = constraint_.epsilon;
-  const RowScan scan{relation_.size(), gauge, nested, TraceOf(gauge)};
+  const RowScan scan{relation_.size(), gauge, nested, ObservationOf(gauge)};
   std::optional<KSmallest> nearest = ScanRows(
       scan, [needed] { return KSmallest(needed); },
       [&](KSmallest& k, std::size_t begin, std::size_t end) {
@@ -186,7 +186,7 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
     ++gauge->stats().index_queries;
     ++gauge->stats().prop5_bounds;
   }
-  PhaseScope phase(TraceOf(gauge), TracePhase::kBoundsScan);
+  PhaseScope phase(ObservationOf(gauge), TracePhase::kBoundsScan);
 
   // Two donor candidates per X:
   //  (a) the Proposition-5 qualified donor — δ_η(t) ≤ ε − Δ(t_o[X], t[X])
@@ -205,7 +205,7 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
       ResolveSubsetRows(*dcache, x.ComplementIn(arity), arity);
   const LpNorm norm = evaluator_.norm();
   const double eps = constraint_.epsilon;
-  const RowScan scan{relation_.size(), gauge, nested, TraceOf(gauge)};
+  const RowScan scan{relation_.size(), gauge, nested, ObservationOf(gauge)};
   std::optional<Donors> donors = ScanRows(
       scan, [] { return Donors(); },
       [&](Donors& best, std::size_t begin, std::size_t end) {
@@ -265,7 +265,7 @@ bool BoundsEngine::IsFeasible(const Tuple& candidate,
     ++gauge->stats().feasibility_checks;
     ++gauge->stats().index_count_queries;
   }
-  PhaseScope phase(TraceOf(gauge), TracePhase::kIndexQuery);
+  PhaseScope phase(ObservationOf(gauge), TracePhase::kIndexQuery);
   return index_.CountWithin(candidate, constraint_.epsilon, needed) >= needed;
 }
 

@@ -16,8 +16,8 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "core/save_journal.h"
+#include "core/search_observation.h"
 #include "index/index_factory.h"
-#include "obs/explain.h"
 #include "obs/progress.h"
 
 namespace disc {
@@ -106,7 +106,7 @@ void DiscSaver::Explore(const Tuple& outlier, AttributeSet x,
   // decision. `node` accumulates as the node is evaluated; every exit path
   // below records it. Null when explain is detached — each site is then a
   // single pointer check and the search is untouched.
-  SearchExplain* ex = gauge->explain();
+  SearchObservation* ex = DecisionsOf(gauge);
   ExplainEvent node;
   node.x_bits = x.bits();
   node.incumbent = state->best_cost;
@@ -218,7 +218,7 @@ void DiscSaver::RevertRefine(const Tuple& outlier, Tuple* adjusted,
       if (bounds_->IsFeasible(trial, gauge)) {
         *adjusted = std::move(trial);
         ++gauge->stats().revert_refines;
-        if (SearchExplain* ex = gauge->explain()) {
+        if (SearchObservation* ex = DecisionsOf(gauge)) {
           ExplainEvent event;
           event.action = ExplainAction::kRevertRefine;
           event.x_bits = AttributeSet().With(a).bits();
@@ -258,8 +258,8 @@ double DiscSaver::EstimateSearchCost(const Tuple& outlier) const {
 SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
                                Deadline task_deadline,
                                const CancellationToken& batch_cancellation,
-                               WorkStealingPool* nested, SearchTrace* strace,
-                               SearchExplain* sexplain) const {
+                               WorkStealingPool* nested,
+                               SearchObservation* obs) const {
   const std::uint64_t start_ns = TraceNowNs();
   // `search.start` fault site: an error here aborts the search before any
   // work, as an index handle or arena acquisition would.
@@ -269,11 +269,9 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
   const std::size_t arity = evaluator_.arity();
   const bool restricted = options.kappa != 0 && options.kappa < arity;
   BudgetGauge gauge(&options.budget, task_deadline, batch_cancellation);
-  // Context propagation: the trace and explain contexts ride on the gauge,
-  // which every bound computation and index query of this search already
-  // receives.
-  gauge.set_trace(strace);
-  gauge.set_explain(sexplain);
+  // Context propagation: the observation rides on the gauge, which every
+  // bound computation and index query of this search already receives.
+  gauge.set_observation(obs);
   SearchState state;
   state.gauge = &gauge;
   state.nested = nested;
@@ -293,7 +291,7 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
   }
   const SearchDistanceCache dcache(inliers_, evaluator_, outlier,
                                    columnar_.get(), &gauge.stats(), nested,
-                                   strace);
+                                   obs);
   state.dcache = &dcache;
 
   // The X = emptyset upper bound (Lemma 4 flavour): nearest substitution-
@@ -310,7 +308,7 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
     state.best_cost = global_seed->cost;
     state.best_adjusted = global_seed->adjusted;
     state.found = true;
-    if (sexplain != nullptr) {
+    if (SearchObservation* ex = DecisionsOf(&gauge)) {
       // The seed is an incumbent adoption but not a visited node; `seed`
       // keeps it out of the node-count cross-checks (obs/explain.h).
       ExplainEvent event;
@@ -319,7 +317,7 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
       event.ub = global_seed->cost;
       event.incumbent = global_seed->cost;
       event.donor_row = global_seed->donor_row;
-      sexplain->Record(event);
+      ex->Record(event);
     }
   }
 
@@ -387,7 +385,7 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
   // section is the `verdict` wall phase (RevertRefine's feasibility checks
   // pause it for their index_query time).
   {
-    PhaseScope verdict_phase(strace, TracePhase::kVerdict);
+    PhaseScope verdict_phase(obs, TracePhase::kVerdict);
     bool have = false;
     Tuple best;
     double best_cost = std::numeric_limits<double>::infinity();
@@ -441,13 +439,6 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
     }
   }
   finalize(&result);
-  if (strace != nullptr) {
-    // Emit the aggregated per-phase spans (parented under the search span)
-    // from the owning thread and fold the totals into the profiler.
-    strace->FlushPhaseSpans(SpanSlotForWorker(
-        WorkStealingPool::CurrentWorkerIndex(),
-        strace->collector != nullptr ? strace->collector->slots() : 1));
-  }
   return result;
 }
 
@@ -483,29 +474,45 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
       parallel ? std::min<std::size_t>(pool->size(), pending) : 1;
   WorkStealingPool* nested = parallel ? pool : nullptr;
 
-  // Hierarchical tracing (DESIGN.md §13). Span buffers exist only when a
-  // sink or the live recorder wants spans; the wall-phase profiler rides
-  // along when attached. All ids derive from (batch seed, input ordinal),
-  // never from time or scheduling, so the span *set* for the same work is
-  // identical at every thread count (pool_chunk/estimate spans excepted —
-  // they exist only where the parallel paths engage). When everything is
-  // detached every per-search hook reduces to a null check.
-  TraceRecorder* recorder = GlobalTraceRecorder();
-  WallPhaseProfiler* profiler = GlobalWallProfiler();
-  const bool span_tracing = trace != nullptr || recorder != nullptr;
-  // Decision-log capture (DESIGN.md §14): same per-worker-buffer discipline
-  // as the span collector, engaged by an explicit sink or the live
-  // /explainz recorder. Explain-only runs still derive trace ids so logs,
-  // spans and exemplars stay joinable on one identity.
-  ExplainRecorder* erecorder = GlobalExplainRecorder();
-  const bool explaining = explain != nullptr || erecorder != nullptr;
-  const bool derive_ids = span_tracing || explaining;
-  std::optional<SpanCollector> collector;
-  std::optional<ExplainCollector> ecollector;
-  std::uint64_t batch_seed = 0;
-  if (derive_ids) batch_seed = NextTraceBatchSeed();
-  if (span_tracing) collector.emplace((parallel ? pool->size() : 0) + 1);
-  if (explaining) ecollector.emplace((parallel ? pool->size() : 0) + 1);
+  // Observation (DESIGN.md §13, §14). Every search carries one
+  // SearchObservation on its gauge; after its retry loop the final attempt
+  // is finished into records[ordinal], and the batch publishes the records
+  // once it joined. Spans exist only when a sink or the live recorder wants
+  // them, decision logs only for an explain sink or /explainz, and the
+  // wall-phase profiler rides along when attached. All ids derive from
+  // (batch seed, input ordinal), never from time or scheduling, so the
+  // published span set and log stream for the same work are identical at
+  // every thread count (pool_chunk/estimate spans excepted — they exist
+  // only where the parallel paths engage). Explain-only runs still derive
+  // trace ids so logs, spans and exemplars stay joinable on one identity.
+  // When everything is detached every per-search hook is a null check.
+  const ObservationSinks sinks{trace, GlobalTraceRecorder(), explain,
+                               GlobalExplainRecorder(), GlobalMetrics()};
+  TraceRecorder* const recorder = sinks.trace_recorder;
+  WallPhaseProfiler* const profiler = GlobalWallProfiler();
+  const bool span_tracing = sinks.spans();
+  const bool derive_ids = span_tracing || sinks.explaining();
+  const bool observing = derive_ids || profiler != nullptr;
+  const std::uint64_t batch_seed = derive_ids ? NextTraceBatchSeed() : 0;
+  std::vector<SearchRecord> records(derive_ids ? n : 0);
+
+  // The observation of one attempt. Each attempt starts fresh — phase
+  // accumulators, chunk spans and events — and its search span id carries
+  // the attempt ordinal, so an aborted attempt never aliases the one whose
+  // result stands.
+  auto observe = [&](std::size_t ordinal, std::size_t attempt) {
+    SearchObservation obs;
+    obs.spans = span_tracing;
+    obs.explain = sinks.explaining();
+    obs.profiler = profiler;
+    if (derive_ids) obs.trace_id = DeriveTraceId(batch_seed, ordinal);
+    if (span_tracing) {
+      obs.root_span_id = DeriveSpanId(obs.trace_id, TraceSpanKind::kRoot, 0);
+      obs.search_span_id = DeriveSpanId(obs.root_span_id,
+                                        TraceSpanKind::kSearch, attempt - 1);
+    }
+    return obs;
+  };
 
   // Live progress: registered once per batch when a global registry is
   // attached, written once per outlier from whichever thread finishes it.
@@ -549,55 +556,33 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
   };
 
   auto run_one = [&](const Tuple& outlier, std::size_t ordinal) -> SaveResult {
-    // Derived trace identity of this save; zero when both spans and explain
-    // are off.
-    const std::uint64_t trace_id =
-        derive_ids ? DeriveTraceId(batch_seed, ordinal) : 0;
-    const std::uint64_t root_span =
-        span_tracing ? DeriveSpanId(trace_id, TraceSpanKind::kRoot, 0) : 0;
-    std::uint64_t search_span =
-        span_tracing ? DeriveSpanId(root_span, TraceSpanKind::kSearch, 0) : 0;
+    SearchObservation obs = observe(ordinal, 1);
     SaveResult result;
-    if (batch.cancellation.cancelled()) {
+    std::size_t attempt = 1;
+    const SaveTermination skip =
+        batch.cancellation.cancelled() ? SaveTermination::kCancelled
+        : batch.deadline.expired()     ? SaveTermination::kDeadline
+                                       : SaveTermination::kCompleted;
+    if (skip != SaveTermination::kCompleted) {
       remaining.fetch_sub(1, std::memory_order_relaxed);
-      result = SkippedResult(outlier, SaveTermination::kCancelled);
-    } else if (batch.deadline.expired()) {
-      remaining.fetch_sub(1, std::memory_order_relaxed);
-      result = SkippedResult(outlier, SaveTermination::kDeadline);
+      result = SkippedResult(outlier, skip);
+      obs.explain = false;  // no search ran, so there is no decision log
     } else {
       const int active_slot =
           recorder != nullptr
-              ? recorder->BeginActive("search", trace_id, search_span,
-                                      TraceNowNs())
+              ? recorder->BeginActive("search", obs.trace_id,
+                                      obs.search_span_id, TraceNowNs())
               : -1;
       // Retry-with-backoff: transient terminations (injected faults, the
       // non-time budgets) are re-run while the retry policy and the batch
       // deadline slack allow. Each attempt computes a fresh fair slice;
-      // the final attempt's result — and only its work counters — stands.
-      std::size_t attempt = 1;
-      SearchExplain sexplain;
+      // the final attempt's result — and only its work counters and its
+      // observation — stands. Every attempt's phase time still folds into
+      // the profiler: it was spent.
       for (;;) {
-        // Fresh per-attempt trace context: phase accumulators restart and
-        // the search span id carries the attempt ordinal, so a retried
-        // search never aliases the spans of its aborted attempts.
-        SearchTrace strace;
-        SearchTrace* strace_ptr = nullptr;
-        if (span_tracing || profiler != nullptr) {
-          strace.collector = collector.has_value() ? &*collector : nullptr;
-          strace.profiler = profiler;
-          strace.trace_id = trace_id;
-          strace.root_span_id = root_span;
-          strace.search_span_id = DeriveSpanId(
-              root_span, TraceSpanKind::kSearch, attempt - 1);
-          search_span = strace.search_span_id;
-          strace_ptr = &strace;
-        }
-        // Fresh per-attempt decision log, for the same reason: the reported
-        // log describes exactly the attempt whose result stands.
-        sexplain = SearchExplain();
         result = SaveImpl(outlier, options, task_slice(), batch.cancellation,
-                          nested, strace_ptr,
-                          ecollector.has_value() ? &sexplain : nullptr);
+                          nested, observing ? &obs : nullptr);
+        obs.FoldPhases();
         if (attempt >= recovery.retry.max_attempts ||
             !RetryPolicy::IsTransient(result.termination)) {
           break;
@@ -610,38 +595,14 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
         }
         std::this_thread::sleep_for(backoff);
         ++attempt;
+        obs = observe(ordinal, attempt);
         if (progress != nullptr) progress->RecordRetry();
       }
       result.stats.retries = attempt - 1;
       remaining.fetch_sub(1, std::memory_order_relaxed);
       if (recorder != nullptr) recorder->EndActive(active_slot);
-      if (ecollector.has_value()) {
-        // The finished decision log: the final attempt's events plus the
-        // verdict fields and the SearchStats mirrors the analyzer
-        // cross-checks against (scripts/analyze_explain.py).
-        ExplainSearchLog log;
-        log.ordinal = ordinal;
-        log.trace_id = trace_id;
-        log.attempt = attempt;
-        log.termination = SaveTerminationName(result.termination);
-        log.feasible = result.feasible;
-        if (result.feasible) log.final_cost = result.cost;
-        log.global_lb = result.lower_bound;
-        log.wall_nanos = result.stats.wall_nanos;
-        log.visited_sets = result.stats.visited_sets;
-        log.lb_prunes = result.stats.lb_prunes;
-        log.nodes_expanded = result.stats.nodes_expanded;
-        log.revert_refines = result.stats.revert_refines;
-        log.abandoned_scans = sexplain.abandoned_scans;
-        log.dropped_events = sexplain.dropped_events;
-        log.events = std::move(sexplain.events);
-        ecollector->Record(
-            SpanSlotForWorker(WorkStealingPool::CurrentWorkerIndex(),
-                              ecollector->slots()),
-            std::move(log));
-      }
     }
-    result.trace_id = trace_id;
+    result.trace_id = obs.trace_id;
     if (recovery.journal != nullptr &&
         (result.termination == SaveTermination::kCompleted ||
          result.termination == SaveTermination::kInfeasible)) {
@@ -658,54 +619,12 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
     if (progress != nullptr) {
       progress->RecordOutlier(result.termination, result.stats.wall_nanos);
     }
-    if (collector.has_value()) {
-      // Recorded into this thread's own span buffer; the batch-end drain
-      // emits everything to the sink sorted by (trace_id, span_id), so the
-      // JSONL order is deterministic. `ordinal` keys each span back to its
-      // input position.
-      TraceSpan span;
-      span.name = "search";
-      span.start_ns = result.stats.start_ns;
-      span.duration_ns = result.stats.wall_nanos;
-      span.trace_id = trace_id;
-      span.span_id = search_span;
-      span.parent_id = root_span;
-      span.Int("ordinal", ordinal)
-          .Str("termination", SaveTerminationName(result.termination));
-      result.stats.AttachTo(&span);
-      collector->Record(
-          SpanSlotForWorker(WorkStealingPool::CurrentWorkerIndex(),
-                            collector->slots()),
-          std::move(span));
+    if (derive_ids) {
+      obs.Finish({"disc", ordinal, attempt, result.termination,
+                  result.feasible, result.cost, result.lower_bound},
+                 result.stats, &records[ordinal]);
     }
     return result;
-  };
-
-  // Batch-end drain: every per-thread span buffer is merged and sorted by
-  // (trace_id, span_id), so the JSONL sink sees a deterministic order
-  // regardless of worker scheduling. Only the top-level search spans feed
-  // the /tracez ring — phase and chunk spans stay in the sink.
-  auto drain_spans = [&]() {
-    if (!collector.has_value()) return;
-    for (TraceSpan& span : collector->Drain()) {
-      if (recorder != nullptr && span.name == "search") {
-        recorder->RecordFinished(span);
-      }
-      if (trace != nullptr) trace->Emit(span);
-    }
-  };
-
-  // Explain drain: logs come back sorted by (ordinal, attempt), so the sink
-  // sees input order, /explainz sees the same recent window at every thread
-  // count, and the metric flush sums are deterministic.
-  auto drain_explain = [&]() {
-    if (!ecollector.has_value()) return;
-    const std::vector<ExplainSearchLog> logs = ecollector->Drain();
-    for (const ExplainSearchLog& log : logs) {
-      if (erecorder != nullptr) erecorder->RecordSearch(log);
-      if (explain != nullptr) explain->Emit(log);
-    }
-    FlushExplainMetrics(GlobalMetrics(), logs);
   };
 
   if (pending == 0) {
@@ -718,8 +637,7 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
       if (restored[i] != 0) continue;
       results[i] = run_one(outliers[i], i);
     }
-    drain_spans();
-    drain_explain();
+    sinks.Publish(std::move(records));
     if (progress != nullptr) progress->MarkDone();
     return results;
   }
@@ -750,28 +668,24 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
   {
     const std::vector<std::size_t> input_order = order;
     pool->RunBatch(input_order, [&](std::size_t i) {
-      const bool timed = collector.has_value() || profiler != nullptr;
+      const bool timed = span_tracing || profiler != nullptr;
       const std::uint64_t start_ns = timed ? TraceNowNs() : 0;
       estimates[i] = EstimateSearchCost(outliers[i]);
       if (!timed) return;
       const std::uint64_t elapsed = TraceNowNs() - start_ns;
       if (profiler != nullptr) profiler->Add(TracePhase::kEstimate, elapsed);
-      if (collector.has_value()) {
-        const std::uint64_t trace_id = DeriveTraceId(batch_seed, i);
-        const std::uint64_t root_span =
-            DeriveSpanId(trace_id, TraceSpanKind::kRoot, 0);
+      if (span_tracing) {
+        const SearchObservation ids = observe(i, 1);
         TraceSpan span;
         span.name = "estimate";
         span.start_ns = start_ns;
         span.duration_ns = elapsed;
-        span.trace_id = trace_id;
-        span.span_id = DeriveSpanId(root_span, TraceSpanKind::kEstimate, 0);
-        span.parent_id = root_span;
+        span.trace_id = ids.trace_id;
+        span.span_id =
+            DeriveSpanId(ids.root_span_id, TraceSpanKind::kEstimate, 0);
+        span.parent_id = ids.root_span_id;
         span.Int("ordinal", i).Num("cost", estimates[i]);
-        collector->Record(
-            SpanSlotForWorker(WorkStealingPool::CurrentWorkerIndex(),
-                              collector->slots()),
-            std::move(span));
+        records[i].spans.push_back(std::move(span));
       }
     });
   }
@@ -792,8 +706,7 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
     }
   });
   if (depth_gauge != nullptr) depth_gauge->Set(0);
-  drain_spans();
-  drain_explain();
+  sinks.Publish(std::move(records));
   if (metrics != nullptr) {
     const WorkStealingPool::SchedStats after = pool->stats();
     if (Counter* c = metrics->GetCounter(

@@ -202,14 +202,15 @@ class DiscSaver {
   /// Observability: when a global ProgressRegistry is attached
   /// (AttachGlobalProgress), the batch registers a "save_all" tracker and
   /// each worker records its outlier as it finishes, so /statusz sees live
-  /// counts. With a non-null `trace`, each worker emits one "search" span
-  /// (carrying the ordinal and the full SearchStats) directly from its own
-  /// thread as the search completes — the sink must be thread-safe
-  /// (JsonlTraceSink is); span order across workers is nondeterministic but
-  /// each line is self-contained. Neither hook touches the search itself:
-  /// results stay bit-identical with or without them. Scheduler telemetry
-  /// (task/steal/nested-chunk deltas, live queue depth) flows into the
-  /// global MetricsRegistry as disc_sched_* when one is attached.
+  /// counts. With a non-null `trace` (or a global TraceRecorder), each
+  /// search's span tree — the "search" span carrying the ordinal and the
+  /// full SearchStats, its phase spans and any pool_chunk spans — lands in
+  /// its per-ordinal record and is published once the batch joins, sorted
+  /// by (trace_id, span_id). Only the attempt whose result stands publishes;
+  /// aborted retry attempts leave no spans. Neither hook touches the search
+  /// itself: results stay bit-identical with or without them. Scheduler
+  /// telemetry (task/steal/nested-chunk deltas, live queue depth) flows
+  /// into the global MetricsRegistry as disc_sched_* when one is attached.
   ///
   /// Recovery: with `recovery.journal` each definitive result is made
   /// durable as it lands; with `recovery.resume` journaled ordinals are
@@ -218,9 +219,9 @@ class DiscSaver {
   ///
   /// Explain (DESIGN.md §14): with a non-null `explain` sink — or a global
   /// ExplainRecorder attached — each search's final attempt captures its
-  /// full decision log (obs/explain.h) into per-worker buffers, drained at
-  /// batch end sorted by input ordinal: sink emission order, the /explainz
-  /// feed and the disc_explain_* metric flush are all deterministic.
+  /// full decision log (obs/explain.h) into the same per-ordinal record,
+  /// published in input order: sink emission order, the /explainz feed and
+  /// the disc_explain_* metric flush are all deterministic.
   /// Capture rides the BudgetGauge, so the logged events are the search's
   /// actual decisions and the log is bit-identical for every thread count
   /// (explain_determinism_test). Detached, every capture site is one null
@@ -239,17 +240,16 @@ class DiscSaver {
  private:
   struct SearchState;
   /// `nested`, when non-null, serves the chunked bound scans of this search
-  /// (results bit-identical with or without it). `strace`, when non-null,
+  /// (results bit-identical with or without it). `obs`, when non-null,
   /// rides on the BudgetGauge through every bound computation and records
-  /// the wall phases and span buffers of this search (common/trace.h);
-  /// tracing never changes what is computed. `sexplain` likewise rides on
-  /// the gauge and captures the decision log (obs/explain.h).
+  /// the wall phases, chunk spans and decisions of this search
+  /// (core/search_observation.h); observing never changes what is
+  /// computed.
   SaveResult SaveImpl(const Tuple& outlier, const SaveOptions& options,
                       Deadline task_deadline,
                       const CancellationToken& batch_cancellation,
                       WorkStealingPool* nested = nullptr,
-                      SearchTrace* strace = nullptr,
-                      SearchExplain* sexplain = nullptr) const;
+                      SearchObservation* obs = nullptr) const;
   /// Scheduling cost estimate for one outlier: its η−1-NN distance in r.
   /// Cheap (one grid-accelerated kNN query), correlates with how much of
   /// the space the B&B search must cover, and runs outside any BudgetGauge

@@ -2,9 +2,8 @@
 
 #include <limits>
 
-#include "common/trace.h"
+#include "core/search_observation.h"
 #include "index/index_factory.h"
-#include "obs/explain.h"
 
 namespace disc {
 
@@ -39,7 +38,7 @@ bool ExactSaver::IsFeasible(const Tuple& candidate, BudgetGauge* gauge) const {
     ++gauge->stats().feasibility_checks;
     ++gauge->stats().index_count_queries;
   }
-  PhaseScope phase(gauge != nullptr ? gauge->trace() : nullptr,
+  PhaseScope phase(gauge != nullptr ? gauge->observation() : nullptr,
                    TracePhase::kIndexQuery);
   return index_->CountWithin(candidate, constraint_.epsilon, needed) >= needed;
 }
@@ -72,7 +71,7 @@ void ExactSaver::Enumerate(const Tuple& outlier, std::size_t attr,
     // feasibility check, so stopping here is always safe.
     ++state->checked;
     if (!state->gauge->OnNodeExpanded(state->checked)) {
-      if (SearchExplain* ex = state->gauge->explain()) {
+      if (SearchObservation* ex = DecisionsOf(state->gauge)) {
         ExplainEvent event;
         event.action = ExplainAction::kPruneBudget;
         event.x_bits = ChangedAttributes(outlier, *candidate).bits();
@@ -95,7 +94,7 @@ void ExactSaver::Enumerate(const Tuple& outlier, std::size_t attr,
         state->best_cost = cost;
         state->best_adjusted = *candidate;
         state->found = true;
-        if (SearchExplain* ex = state->gauge->explain()) {
+        if (SearchObservation* ex = DecisionsOf(state->gauge)) {
           ExplainEvent event;
           event.action = ExplainAction::kIncumbentUpdate;
           event.x_bits = ChangedAttributes(outlier, *candidate).bits();
@@ -134,8 +133,7 @@ ExactResult ExactSaver::Save(const Tuple& outlier, const ExactOptions& options,
                              const CancellationToken& extra_cancellation) const {
   const std::uint64_t start_ns = TraceNowNs();
   BudgetGauge gauge(&options.budget, extra_deadline, extra_cancellation);
-  gauge.set_trace(options.trace);
-  gauge.set_explain(options.explain);
+  gauge.set_observation(options.observation);
   EnumState state;
   state.gauge = &gauge;
   Tuple candidate = outlier;

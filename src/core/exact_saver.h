@@ -31,15 +31,13 @@ struct ExactOptions {
   /// termination recording why — the result may then be suboptimal, but it
   /// is still a fully verified feasible adjustment (or the untouched input).
   SearchBudget budget;
-  /// Optional trace context. When set, feasibility-check index queries are
-  /// charged to the index_query wall phase (the exact enumerator has no
-  /// bound scans, so that is its only phased work). Not owned.
-  SearchTrace* trace = nullptr;
-  /// Optional decision-capture context (obs/explain.h). The exact
-  /// enumerator has no bounds, so it records only incumbent_update events
-  /// (x_bits = the candidate's *changed*-attribute mask, ub = its cost) and
-  /// a prune_budget event when the budget layer stops it. Not owned.
-  SearchExplain* explain = nullptr;
+  /// Optional observation context (core/search_observation.h). With
+  /// `explain` set the enumerator records its decisions: it has no bounds,
+  /// so only incumbent_update events (x_bits = the candidate's
+  /// *changed*-attribute mask, ub = its cost) and a prune_budget event when
+  /// the budget layer stops it. A timed context charges the feasibility
+  /// checks to the index_query wall phase, its only phased work. Not owned.
+  SearchObservation* observation = nullptr;
 };
 
 /// Outcome of an exact save.

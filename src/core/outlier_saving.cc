@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/save_journal.h"
+#include "core/search_observation.h"
 #include "core/search_stats.h"
 #include "index/index_factory.h"
 #include "obs/explain.h"
@@ -357,14 +358,16 @@ SavedDataset SaveOutliers(const Relation& data,
 
   const std::size_t total_outliers = split.outlier_rows.size();
 
-  // Explain on the exact path (the DISC path captures inside SaveAll): the
-  // enumerations run sequentially in the merge loop below, so logs are
-  // captured, emitted and flushed here, already in input order.
-  ExplainRecorder* explain_recorder = GlobalExplainRecorder();
-  const bool exact_explaining =
-      effective.use_exact &&
-      (options.explain != nullptr || explain_recorder != nullptr);
-  std::vector<ExplainSearchLog> exact_explain_logs;
+  // Explain on the exact path (the DISC path publishes inside SaveAll): the
+  // enumerations run sequentially in the merge loop below, each finishing
+  // its record at its ordinal; the records publish after the loop through
+  // the same ObservationSinks as SaveAll's. The exact path derives no trace
+  // ids and emits no search spans.
+  const ObservationSinks exact_sinks{nullptr, nullptr, options.explain,
+                                     GlobalExplainRecorder(), GlobalMetrics()};
+  const bool exact_explaining = effective.use_exact && exact_sinks.explaining();
+  std::vector<SearchRecord> exact_records(exact_explaining ? total_outliers
+                                                           : 0);
 
   // The exact path saves sequentially in the merge loop below, so it gets
   // its own tracker here (the DISC path registers "save_all" inside
@@ -410,8 +413,9 @@ SavedDataset SaveOutliers(const Relation& data,
         ExactOptions exact_options;
         exact_options.max_candidates = effective.exact_max_candidates;
         exact_options.budget = effective.save.budget;
-        SearchExplain sexplain;
-        if (exact_explaining) exact_options.explain = &sexplain;
+        SearchObservation obs;
+        obs.explain = exact_explaining;
+        if (exact_explaining) exact_options.observation = &obs;
         ExactResult res = exact_saver->Save(outlier, exact_options,
                                             task_deadline, batch.cancellation);
         feasible = res.feasible;
@@ -422,23 +426,8 @@ SavedDataset SaveOutliers(const Relation& data,
         rec.cost = res.cost;
         rec.adjusted_attributes = res.adjusted_attributes;
         if (exact_explaining) {
-          ExplainSearchLog log;
-          log.ordinal = i;
-          log.algo = "exact";
-          log.termination = SaveTerminationName(res.termination);
-          log.feasible = res.feasible;
-          if (res.feasible) log.final_cost = res.cost;
-          log.wall_nanos = res.stats.wall_nanos;
-          log.visited_sets = res.stats.visited_sets;
-          log.lb_prunes = res.stats.lb_prunes;
-          log.nodes_expanded = res.stats.nodes_expanded;
-          log.revert_refines = res.stats.revert_refines;
-          log.abandoned_scans = sexplain.abandoned_scans;
-          log.dropped_events = sexplain.dropped_events;
-          log.events = std::move(sexplain.events);
-          if (explain_recorder != nullptr) explain_recorder->RecordSearch(log);
-          if (options.explain != nullptr) options.explain->Emit(log);
-          exact_explain_logs.push_back(std::move(log));
+          obs.Finish({"exact", i, 1, res.termination, res.feasible, res.cost},
+                     res.stats, &exact_records[i]);
         }
       }
     } else {
@@ -508,9 +497,7 @@ SavedDataset SaveOutliers(const Relation& data,
     out.records.push_back(std::move(rec));
   }
   if (exact_progress != nullptr) exact_progress->MarkDone();
-  // Same registry the DISC path's in-SaveAll flush uses, so disc_explain_*
-  // series aggregate identically across both algorithms.
-  FlushExplainMetrics(GlobalMetrics(), exact_explain_logs);
+  exact_sinks.Publish(std::move(exact_records));
   FlushBatchMetrics(options.metrics, out);
   DISC_LOG(INFO)
       .Uint("saved", out.CountDisposition(OutlierDisposition::kSaved))

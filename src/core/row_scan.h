@@ -12,7 +12,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/search_budget.h"
-#include "obs/explain.h"
+#include "core/search_observation.h"
 
 namespace disc {
 
@@ -36,43 +36,50 @@ inline bool UseChunkedScan(const WorkStealingPool* pool, std::size_t n) {
   return pool != nullptr && pool->size() > 1 && n >= 2 * kScanGrain;
 }
 
-/// Records one `pool_chunk` span per executed chunk of a pooled scan into
-/// the recording thread's own collector slot, parented under the owning
-/// phase span. The scan's id derives from the search's running scan
+/// Builds the `pool_chunk` spans of one pooled scan, parented under the
+/// owning phase span. The scan's id derives from the search's running scan
 /// ordinal, so chunk ids do not depend on scheduling. Chunk presence depends
 /// on the pooled path engaging (pool size, n), so chunk spans are excluded
 /// from the cross-thread-count parity contract (DESIGN.md §13).
 class ChunkSpanRecorder {
  public:
-  ChunkSpanRecorder(SearchTrace* search_trace, TracePhase phase) {
-    if (search_trace == nullptr || search_trace->collector == nullptr) return;
-    trace_ = search_trace;
-    phase_span_ = trace_->PhaseSpanId(phase);
+  ChunkSpanRecorder(SearchObservation* obs, TracePhase phase) {
+    if (obs == nullptr || !obs->spans) return;
+    obs_ = obs;
+    trace_id_ = obs_->trace_id;
+    phase_span_ = obs_->PhaseSpanId(phase);
     scan_span_ = DeriveSpanId(phase_span_, TraceSpanKind::kScan,
-                              trace_->scan_ordinal++);
+                              obs_->scan_ordinal++);
   }
 
-  bool enabled() const { return trace_ != nullptr; }
+  bool enabled() const { return obs_ != nullptr; }
 
-  /// Call from the chunk body's thread after the chunk's work.
-  void Record(std::uint64_t chunk_start_ns, std::size_t chunk,
-              std::size_t rows) const {
+  /// Call from the chunk body's thread after the chunk's work; reads only
+  /// this recorder, never the observation.
+  TraceSpan Make(std::uint64_t chunk_start_ns, std::size_t chunk,
+                 std::size_t rows) const {
     TraceSpan span;
     span.name = "pool_chunk";
     span.start_ns = chunk_start_ns;
     span.duration_ns = TraceNowNs() - chunk_start_ns;
-    span.trace_id = trace_->trace_id;
+    span.trace_id = trace_id_;
     span.span_id = DeriveSpanId(scan_span_, TraceSpanKind::kChunk, chunk);
     span.parent_id = phase_span_;
     span.Int("chunk", chunk).Int("rows", rows);
-    trace_->collector->Record(
-        SpanSlotForWorker(WorkStealingPool::CurrentWorkerIndex(),
-                          trace_->collector->slots()),
-        std::move(span));
+    return span;
+  }
+
+  /// Owner thread, after the join: appends the spans of the chunks that ran
+  /// to completion, in chunk order.
+  void Append(std::vector<TraceSpan>& slots) const {
+    for (TraceSpan& span : slots) {
+      if (!span.name.empty()) obs_->chunk_spans.push_back(std::move(span));
+    }
   }
 
  private:
-  SearchTrace* trace_ = nullptr;
+  SearchObservation* obs_ = nullptr;
+  std::uint64_t trace_id_ = 0;
   std::uint64_t phase_span_ = 0;
   std::uint64_t scan_span_ = 0;
 };
@@ -84,8 +91,8 @@ struct RowScan {
   BudgetGauge* gauge = nullptr;
   /// Chunks the scan when UseChunkedScan(pool, rows); null = inline.
   WorkStealingPool* pool = nullptr;
-  /// Receives one span per pooled chunk under `phase`; null = untraced.
-  SearchTrace* trace = nullptr;
+  /// Receives one span per pooled chunk under `phase`; null = unobserved.
+  SearchObservation* obs = nullptr;
   TracePhase phase = TracePhase::kBoundsScan;
 };
 
@@ -125,7 +132,7 @@ auto ScanRows(const RowScan& scan, const Make& make, const Body& body,
     return true;
   };
   auto abandon = [&]() -> std::optional<State> {
-    if (SearchExplain* explain = gauge->explain()) explain->NoteAbandonedScan();
+    if (SearchObservation* obs = gauge->observation()) obs->NoteAbandonedScan();
     return std::nullopt;
   };
 
@@ -143,7 +150,9 @@ auto ScanRows(const RowScan& scan, const Make& make, const Body& body,
   parts.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) parts.push_back(make());
   std::atomic<bool> aborted{false};
-  const ChunkSpanRecorder spans(scan.trace, scan.phase);
+  const ChunkSpanRecorder spans(scan.obs, scan.phase);
+  // One span slot per chunk, each written only by its chunk's body.
+  std::vector<TraceSpan> span_slots(spans.enabled() ? chunks : 0);
   scan.pool->ParallelFor(
       0, scan.rows, kScanGrain,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
@@ -155,8 +164,11 @@ auto ScanRows(const RowScan& scan, const Make& make, const Body& body,
           return false;
         };
         if (!run_chunk(parts[chunk], begin, end, keep_going)) return;
-        if (spans.enabled()) spans.Record(chunk_start, chunk, end - begin);
+        if (spans.enabled()) {
+          span_slots[chunk] = spans.Make(chunk_start, chunk, end - begin);
+        }
       });
+  if (spans.enabled()) spans.Append(span_slots);
   if (aborted.load(std::memory_order_relaxed)) {
     gauge->RecordHardStop();
     return abandon();

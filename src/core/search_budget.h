@@ -13,8 +13,7 @@
 
 namespace disc {
 
-struct SearchExplain;
-struct SearchTrace;
+struct SearchObservation;
 
 /// Why a per-outlier save ended. The minimum-cost adjustment problem is
 /// NP-hard (Theorem 1) and the search is *anytime*: a feasible incumbent
@@ -198,18 +197,13 @@ class BudgetGauge {
   /// Node expansions so far.
   std::size_t nodes_expanded() const { return nodes_; }
 
-  /// Per-search trace context (common/trace.h), riding on the gauge because
-  /// the gauge already flows DiscSaver → BoundsEngine → SearchDistanceCache
-  /// → index queries — exactly the propagation path the spans need. Null
-  /// (the default) = untraced; owned by the caller, like the budget.
-  SearchTrace* trace() const { return trace_; }
-  void set_trace(SearchTrace* trace) { trace_ = trace; }
-
-  /// Per-search decision-capture context (obs/explain.h), riding on the
-  /// gauge for the same reason as the trace: the gauge already reaches
-  /// every decision site. Null (the default) = explain detached.
-  SearchExplain* explain() const { return explain_; }
-  void set_explain(SearchExplain* explain) { explain_ = explain; }
+  /// Per-search observation context (core/search_observation.h): phase
+  /// timing, span ids and the decision log, riding on the gauge because the
+  /// gauge already flows DiscSaver → BoundsEngine → SearchDistanceCache →
+  /// index queries and reaches every decision site. Null (the default) =
+  /// unobserved; owned by the caller, like the budget.
+  SearchObservation* observation() const { return observation_; }
+  void set_observation(SearchObservation* obs) { observation_ = obs; }
 
   /// True once any limit tripped; search loops must unwind promptly.
   bool stopped() const { return stopped_; }
@@ -227,8 +221,7 @@ class BudgetGauge {
   /// inline scan poll.
   FaultInjector::Site* fault_node_ = nullptr;
   FaultInjector::Site* fault_scan_ = nullptr;
-  SearchTrace* trace_ = nullptr;
-  SearchExplain* explain_ = nullptr;
+  SearchObservation* observation_ = nullptr;
   SearchStats stats_;
   std::size_t nodes_ = 0;
   bool stopped_ = false;

@@ -2,8 +2,8 @@
 
 #include <limits>
 
-#include "common/trace.h"
 #include "core/row_scan.h"
+#include "core/search_observation.h"
 #include "distance/lp_norm.h"
 
 namespace disc {
@@ -17,17 +17,17 @@ SearchDistanceCache::SearchDistanceCache(const Relation& relation,
                                          const ColumnarView* view,
                                          SearchStats* stats,
                                          WorkStealingPool* pool,
-                                         SearchTrace* trace)
+                                         SearchObservation* obs)
     : relation_(relation),
       evaluator_(evaluator),
       outlier_(outlier),
       stats_(stats),
-      trace_(trace),
+      obs_(obs),
       arity_(evaluator.arity()),
       attr_rows_(evaluator.arity()) {
   if (view != nullptr) kernel_.emplace(*view, outlier);
   full_.resize(relation.size());
-  PhaseScope phase(trace_, TracePhase::kDcacheFill);
+  PhaseScope phase(obs_, TracePhase::kDcacheFill);
   // Each entry is an independent write, so chunked and inline fills
   // produce the identical vector. The kernel's batch fill is vectorized
   // across rows when the view's SIMD tier allows, bit-identical to per-row
@@ -35,7 +35,7 @@ SearchDistanceCache::SearchDistanceCache(const Relation& relation,
   // ColumnarView::kLanePad). Unmetered: no gauge, so one call per chunk.
   struct NoState {};
   ScanRows(
-      RowScan{relation.size(), nullptr, pool, trace_, TracePhase::kDcacheFill},
+      RowScan{relation.size(), nullptr, pool, obs_, TracePhase::kDcacheFill},
       [] { return NoState(); },
       [&](NoState&, std::size_t begin, std::size_t end) {
         if (kernel_.has_value()) {
@@ -56,7 +56,7 @@ const double* SearchDistanceCache::AttributeRow(std::size_t a) const {
     // Lazy fills run on the owning search thread, usually inside a
     // bounds_scan phase; the scope below pauses it so the fill charges to
     // dcache_fill.
-    PhaseScope phase(trace_, TracePhase::kDcacheFill);
+    PhaseScope phase(obs_, TracePhase::kDcacheFill);
     row.resize(full_.size());
     if (kernel_.has_value()) {
       kernel_->FillAttributeDistances(a, row.data());

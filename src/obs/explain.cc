@@ -201,35 +201,6 @@ ExplainSummary Summarize(const ExplainSearchLog& log) {
 }
 
 // ---------------------------------------------------------------------------
-// ExplainCollector
-// ---------------------------------------------------------------------------
-
-ExplainCollector::ExplainCollector(std::size_t slots)
-    : slots_(slots > 0 ? slots : 1) {}
-
-void ExplainCollector::Record(std::size_t slot, ExplainSearchLog log) {
-  slots_[slot < slots_.size() ? slot : slots_.size() - 1].logs.push_back(
-      std::move(log));
-}
-
-std::vector<ExplainSearchLog> ExplainCollector::Drain() {
-  std::vector<ExplainSearchLog> all;
-  std::size_t total = 0;
-  for (const Slot& slot : slots_) total += slot.logs.size();
-  all.reserve(total);
-  for (Slot& slot : slots_) {
-    for (ExplainSearchLog& log : slot.logs) all.push_back(std::move(log));
-    slot.logs.clear();
-  }
-  std::sort(all.begin(), all.end(),
-            [](const ExplainSearchLog& a, const ExplainSearchLog& b) {
-              if (a.ordinal != b.ordinal) return a.ordinal < b.ordinal;
-              return a.attempt < b.attempt;
-            });
-  return all;
-}
-
-// ---------------------------------------------------------------------------
 // JSONL serialization + sink
 // ---------------------------------------------------------------------------
 

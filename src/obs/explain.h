@@ -96,38 +96,12 @@ struct ExplainEvent {
 inline constexpr std::size_t kExplainMaxEventsPerSearch = 65536;
 
 // ---------------------------------------------------------------------------
-// SearchExplain — per-search capture context riding on the BudgetGauge
-// ---------------------------------------------------------------------------
-
-/// Decision-capture context of one search. Like SearchTrace it rides on the
-/// BudgetGauge (which already flows DiscSaver → BoundsEngine → index
-/// queries), is owned by exactly one thread, and is null on the gauge when
-/// explain is detached — every capture site is then a single pointer check.
-struct SearchExplain {
-  std::vector<ExplainEvent> events;
-  /// Events beyond kExplainMaxEventsPerSearch (counted, not stored).
-  std::uint64_t dropped_events = 0;
-  /// Bound scans cut short by the budget layer (the scan returned its safe
-  /// uninformative value). Recorded by BoundsEngine; a high count flags
-  /// bound-quality data polluted by truncation.
-  std::uint64_t abandoned_scans = 0;
-
-  void Record(const ExplainEvent& event) {
-    if (events.size() >= kExplainMaxEventsPerSearch) {
-      ++dropped_events;
-      return;
-    }
-    events.push_back(event);
-  }
-  void NoteAbandonedScan() { ++abandoned_scans; }
-};
-
-// ---------------------------------------------------------------------------
 // ExplainSearchLog — the finished per-search decision log
 // ---------------------------------------------------------------------------
 
-/// The decision log of one finished search, assembled by the batch driver
-/// from the final attempt's SearchExplain plus the search verdict. This is
+/// The decision log of one finished search, assembled from the final
+/// attempt's SearchObservation (core/search_observation.h) plus the search
+/// verdict. This is
 /// the unit emitted to sinks (one JSONL line) and fed to the recorder.
 struct ExplainSearchLog {
   /// Input position of the outlier in its batch — the deterministic
@@ -223,43 +197,12 @@ inline constexpr std::size_t kExplainTimelineCap = 32;
 ExplainSummary Summarize(const ExplainSearchLog& log);
 
 // ---------------------------------------------------------------------------
-// ExplainCollector — per-worker lock-free log buffers for one batch
-// ---------------------------------------------------------------------------
-
-/// Per-batch log buffer with the SpanCollector discipline: one cache-line-
-/// padded slot per pool worker plus one for the caller, plain vector pushes
-/// on the hot path, Drain() only after the batch joins. Drained logs come
-/// back sorted by (ordinal, attempt), so sink emission order is
-/// deterministic regardless of worker scheduling.
-class ExplainCollector {
- public:
-  /// `slots` buffers; use pool->size() + 1 (workers + caller).
-  explicit ExplainCollector(std::size_t slots);
-
-  /// Appends `log` to buffer `slot`. Each slot must only ever be written by
-  /// one thread at a time (worker w → slot w, non-workers → last slot).
-  void Record(std::size_t slot, ExplainSearchLog log);
-
-  /// Moves every recorded log out, sorted by (ordinal, attempt). Call only
-  /// when no Record() can be in flight.
-  std::vector<ExplainSearchLog> Drain();
-
-  std::size_t slots() const { return slots_.size(); }
-
- private:
-  struct alignas(64) Slot {
-    std::vector<ExplainSearchLog> logs;
-  };
-  std::vector<Slot> slots_;
-};
-
-// ---------------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------------
 
-/// Consumer of finished decision logs. Emit() must accept calls from any
-/// thread (the exact path emits from the merge loop; the DISC path emits
-/// from the batch-end drain).
+/// Consumer of finished decision logs, fed in ordinal order once per batch
+/// (ObservationSinks::Publish, core/search_observation.h). Emit() must
+/// accept calls from any thread: batches may run concurrently.
 class ExplainSink {
  public:
   virtual ~ExplainSink() = default;
@@ -302,8 +245,8 @@ class ExplainJsonlSink : public ExplainSink {
 
 /// In-memory recorder behind /explainz: batch-cumulative action totals, a
 /// ring of the most recent search summaries, and the slowest searches seen
-/// (by wall time). Mutex-guarded — it is fed once per *search* from the
-/// batch-end drain, never from a hot path. Reset() is lossless for the
+/// (by wall time). Mutex-guarded — it is fed once per *search* when the
+/// batch publishes, never from a hot path. Reset() is lossless for the
 /// totals in the same sense as WallPhaseProfiler::Reset: it zeroes the
 /// window under the same lock that RecordSearch takes, so a concurrent
 /// scrape sees either the old window or the new one, never a torn mix.

@@ -1,5 +1,6 @@
 // The explain layer (DESIGN.md §14): event gap semantics, per-search
-// summaries, the per-worker collector, the JSONL sink, the /explainz
+// summaries, finishing an observation into its log, the one publish path
+// (ordinal order, one metrics flush), the JSONL sink, the /explainz
 // recorder, the batch metrics flush — and the end-to-end contract that the
 // event stream of a real save re-derives the search's own SearchStats
 // counters on both the DISC and the exact path.
@@ -23,6 +24,7 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "core/outlier_saving.h"
+#include "core/search_observation.h"
 #include "data/generators.h"
 #include "distance/evaluator.h"
 
@@ -72,8 +74,9 @@ TEST(ExplainEvent, ActionNamesAreTheSerializedContract) {
                "revert_refine");
 }
 
-TEST(SearchExplain, RecordCapsEventsAndCountsDrops) {
-  SearchExplain explain;
+TEST(SearchObservation, RecordCapsEventsAndCountsDrops) {
+  SearchObservation explain;
+  explain.explain = true;
   for (std::size_t i = 0; i < kExplainMaxEventsPerSearch + 3; ++i) {
     explain.Record(MakeEvent(i, ExplainAction::kExpand));
   }
@@ -190,30 +193,6 @@ TEST(Summarize, TimelineCapKeepsEarliestAdoptionsPlusTheFinalOne) {
   // The last slot always holds the final adoption, not the cap-th one.
   EXPECT_EQ(summary.timeline.back().event_index, adoptions - 1);
   EXPECT_DOUBLE_EQ(summary.timeline.back().cost, 1.0);
-}
-
-TEST(ExplainCollector, DrainSortsByOrdinalThenAttemptAndClamps) {
-  ExplainCollector collector(3);
-  auto log = [](std::uint64_t ordinal, std::uint64_t attempt) {
-    ExplainSearchLog l;
-    l.ordinal = ordinal;
-    l.attempt = attempt;
-    return l;
-  };
-  collector.Record(0, log(5, 1));
-  collector.Record(2, log(1, 2));
-  collector.Record(1, log(1, 1));
-  collector.Record(99, log(3, 1));  // out-of-range slot clamps to the last
-
-  std::vector<ExplainSearchLog> drained = collector.Drain();
-  ASSERT_EQ(drained.size(), 4u);
-  EXPECT_EQ(drained[0].ordinal, 1u);
-  EXPECT_EQ(drained[0].attempt, 1u);
-  EXPECT_EQ(drained[1].ordinal, 1u);
-  EXPECT_EQ(drained[1].attempt, 2u);
-  EXPECT_EQ(drained[2].ordinal, 3u);
-  EXPECT_EQ(drained[3].ordinal, 5u);
-  EXPECT_TRUE(collector.Drain().empty());  // drain moves, nothing remains
 }
 
 TEST(AppendExplainSearchJson, OmitsNonFiniteAndFlagsInfeasibleLb) {
@@ -377,7 +356,7 @@ TEST(FlushExplainMetrics, NullRegistryAndEmptyLogsAreNoOps) {
 // End-to-end: the event streams of a real save re-derive SearchStats
 // ---------------------------------------------------------------------------
 
-/// Thread-safe capture sink (the exact path emits from the merge loop).
+/// Thread-safe capture sink.
 class CaptureExplainSink : public ExplainSink {
  public:
   void Emit(const ExplainSearchLog& log) override {
@@ -393,6 +372,106 @@ class CaptureExplainSink : public ExplainSink {
   std::mutex mu_;
   std::vector<ExplainSearchLog> logs_;
 };
+
+TEST(ObservationSinks, FinishBuildsOneLogShapeForBothAlgorithms) {
+  SearchStats stats;
+  stats.visited_sets = 4;
+  stats.lb_prunes = 1;
+  stats.nodes_expanded = 5;
+  stats.revert_refines = 2;
+  stats.wall_nanos = 99;
+  for (const char* algo : {"disc", "exact"}) {
+    SearchObservation obs;
+    obs.explain = true;
+    obs.trace_id = 77;
+    obs.abandoned_scans = 3;
+    obs.Record(MakeEvent(0b1, ExplainAction::kPruneLb, 2.0));
+    SearchRecord record;
+    obs.Finish({algo, 6, 2, SaveTermination::kCompleted, true, 1.5, 0.25},
+               stats, &record);
+    EXPECT_TRUE(record.spans.empty()) << algo;  // spans were off
+    ASSERT_TRUE(record.log.has_value()) << algo;
+    const ExplainSearchLog& log = *record.log;
+    EXPECT_EQ(log.algo, algo);
+    EXPECT_EQ(log.ordinal, 6u);
+    EXPECT_EQ(log.attempt, 2u);
+    EXPECT_EQ(log.trace_id, 77u);
+    EXPECT_EQ(log.termination, "completed");
+    EXPECT_DOUBLE_EQ(log.final_cost, 1.5);
+    EXPECT_DOUBLE_EQ(log.global_lb, 0.25);
+    EXPECT_EQ(log.wall_nanos, 99u);
+    EXPECT_EQ(log.visited_sets, 4u);
+    EXPECT_EQ(log.lb_prunes, 1u);
+    EXPECT_EQ(log.nodes_expanded, 5u);
+    EXPECT_EQ(log.revert_refines, 2u);
+    EXPECT_EQ(log.abandoned_scans, 3u);
+    ASSERT_EQ(log.events.size(), 1u);
+    EXPECT_TRUE(obs.events.empty());  // moved into the log
+  }
+  // An infeasible verdict leaves the cost NaN, whatever `cost` says.
+  SearchObservation obs;
+  obs.explain = true;
+  SearchRecord record;
+  obs.Finish({"exact", 0, 1, SaveTermination::kInfeasible, false, 3.0},
+             stats, &record);
+  EXPECT_TRUE(std::isnan(record.log->final_cost));
+}
+
+TEST(ObservationSinks, PublishEmitsLogsInOrdinalOrderAndFlushesOnce) {
+  // Records filled out of ordinal order, one without a log (a skipped or
+  // restored ordinal).
+  std::vector<SearchRecord> records(4);
+  for (std::size_t ordinal : {3u, 0u, 2u}) {
+    ExplainSearchLog log = MakeRichLog();
+    log.ordinal = ordinal;
+    log.trace_id = 1000 + ordinal;
+    log.dropped_events = ordinal;
+    records[ordinal].log = std::move(log);
+  }
+  std::vector<ExplainSearchLog> expected;
+  for (const SearchRecord& record : records) {
+    if (record.log.has_value()) expected.push_back(*record.log);
+  }
+
+  CaptureExplainSink sink;
+  ExplainRecorder recorder;
+  MetricsRegistry metrics;
+  ObservationSinks sinks;
+  sinks.explain = &sink;
+  sinks.explain_recorder = &recorder;
+  sinks.metrics = &metrics;
+  ASSERT_TRUE(sinks.explaining());
+  EXPECT_FALSE(sinks.spans());
+  sinks.Publish(std::move(records));
+
+  const std::vector<ExplainSearchLog> emitted = sink.Take();
+  ASSERT_EQ(emitted.size(), 3u);
+  EXPECT_EQ(emitted[0].ordinal, 0u);
+  EXPECT_EQ(emitted[1].ordinal, 2u);
+  EXPECT_EQ(emitted[2].ordinal, 3u);
+  // The recorder saw the same three searches.
+  EXPECT_NE(recorder.ToJson().find("\"searches\":3"), std::string::npos);
+
+  // The disc_explain_* sums equal one flush of the same logs.
+  MetricsRegistry want;
+  FlushExplainMetrics(&want, expected);
+  for (const char* name :
+       {"disc_explain_searches_total", "disc_explain_events_total",
+        "disc_explain_events_dropped_total",
+        "disc_explain_action_incumbent_update_total",
+        "disc_explain_action_prune_lb_total",
+        "disc_explain_action_infeasible_total",
+        "disc_explain_action_memo_hit_total",
+        "disc_explain_action_revert_refine_total"}) {
+    EXPECT_EQ(metrics.GetCounter(name)->Value(),
+              want.GetCounter(name)->Value())
+        << name;
+  }
+  EXPECT_EQ(metrics.GetCounter("disc_explain_searches_total")->Value(), 3u);
+  const std::vector<double> bounds = {1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0};
+  EXPECT_EQ(metrics.GetHistogram("disc_save_bound_gap", bounds)->Snap().count,
+            want.GetHistogram("disc_save_bound_gap", bounds)->Snap().count);
+}
 
 /// Two well-separated 2-d clusters with three planted outliers — small
 /// enough for the exact saver, rich enough to exercise pruning.

@@ -2,7 +2,8 @@
 // schedule / seeded probability), fault kinds, determinism across runs with
 // the same seed, the max_fires cap under concurrent hits, the global
 // attach/detach contract, the zero-overhead no-op path when detached, and
-// a search-level `bounds.scan` fault: sound abort, clean retry.
+// a search-level `bounds.scan` fault: sound abort, clean retry; and a
+// retried search publishing only its standing attempt's spans and log.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -18,7 +21,10 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
+#include "common/trace.h"
 #include "core/disc_saver.h"
+#include "obs/explain.h"
 
 namespace disc {
 namespace {
@@ -259,23 +265,32 @@ TEST(FaultInjector, AddFromStringArmsMultipleSites) {
   EXPECT_FALSE(injector.AddFromString("bad spec").ok());
 }
 
-TEST(FaultInjector, BoundsScanFaultAbortsSearchSoundlyAndRetriesClean) {
-  // Inliers: one Gaussian cluster. Outliers: cluster points with one or
-  // two attributes pushed far away, so each search scans many bands.
-  Rng rng(2027);
-  Relation inliers(Schema::Numeric(3));
-  for (int i = 0; i < 300; ++i) {
-    inliers.AppendUnchecked(Tuple::Numeric(
-        {rng.Gaussian(0, 1), rng.Gaussian(0, 1), rng.Gaussian(0, 1)}));
-  }
+/// Inliers: one Gaussian cluster. Outliers: cluster points with one or two
+/// attributes pushed far away, so each search scans many bands.
+struct ClusterScenario {
+  Relation inliers{Schema::Numeric(3)};
   std::vector<Tuple> outliers;
-  for (int i = 0; i < 4; ++i) {
-    Tuple t = Tuple::Numeric(
-        {rng.Gaussian(0, 0.5), rng.Gaussian(0, 0.5), rng.Gaussian(0, 0.5)});
-    t[i % 3] = Value(12.0 + i);
-    if (i == 3) t[0] = Value(-9.0);
-    outliers.push_back(std::move(t));
+
+  ClusterScenario() {
+    Rng rng(2027);
+    for (int i = 0; i < 300; ++i) {
+      inliers.AppendUnchecked(Tuple::Numeric(
+          {rng.Gaussian(0, 1), rng.Gaussian(0, 1), rng.Gaussian(0, 1)}));
+    }
+    for (int i = 0; i < 4; ++i) {
+      Tuple t = Tuple::Numeric(
+          {rng.Gaussian(0, 0.5), rng.Gaussian(0, 0.5), rng.Gaussian(0, 0.5)});
+      t[i % 3] = Value(12.0 + i);
+      if (i == 3) t[0] = Value(-9.0);
+      outliers.push_back(std::move(t));
+    }
   }
+};
+
+TEST(FaultInjector, BoundsScanFaultAbortsSearchSoundlyAndRetriesClean) {
+  const ClusterScenario scenario;
+  const Relation& inliers = scenario.inliers;
+  const std::vector<Tuple>& outliers = scenario.outliers;
   DistanceEvaluator ev(inliers.schema());
   DiscSaver saver(inliers, ev, {1.0, 5});
   const std::vector<SaveResult> clean = saver.SaveAll(outliers);
@@ -328,6 +343,76 @@ TEST(FaultInjector, BoundsScanFaultAbortsSearchSoundlyAndRetriesClean) {
     EXPECT_TRUE(work.SameWork(clean[i].stats)) << i;
   }
   EXPECT_EQ(retries, 1u);
+}
+
+class CaptureTraceSink : public TraceSink {
+ public:
+  void Emit(const TraceSpan& span) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    spans.push_back(span);
+  }
+  std::mutex mu_;
+  std::vector<TraceSpan> spans;
+};
+
+class CaptureExplainSink : public ExplainSink {
+ public:
+  void Emit(const ExplainSearchLog& log) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    logs.push_back(log);
+  }
+  std::mutex mu_;
+  std::vector<ExplainSearchLog> logs;
+};
+
+TEST(FaultInjector, RetriedSearchPublishesOnlyItsFinalAttempt) {
+  // A search.node fault aborts one search mid-walk, after its first phases
+  // ran; the retry then stands. Only the standing attempt may publish, so
+  // no span may point at the aborted attempt's search span.
+  const ClusterScenario scenario;
+  DistanceEvaluator ev(scenario.inliers.schema());
+  DiscSaver saver(scenario.inliers, ev, {1.0, 5});
+  BatchRecovery recovery;
+  recovery.retry.max_attempts = 3;
+  recovery.retry.initial_backoff = std::chrono::milliseconds(1);
+  for (std::size_t threads : {1u, 4u}) {
+    WorkStealingPool pool(threads);
+    FaultInjector injector;
+    ASSERT_TRUE(injector.AddFromString("search.node:error:nth=3,max=2").ok());
+    CaptureTraceSink trace;
+    CaptureExplainSink explain;
+    AttachGlobalFaultInjector(&injector);
+    const std::vector<SaveResult> results =
+        saver.SaveAll(scenario.outliers, {}, threads > 1 ? &pool : nullptr,
+                      {}, &trace, recovery, &explain);
+    AttachGlobalFaultInjector(nullptr);
+    ASSERT_GE(injector.fires("search.node"), 1u) << threads;
+
+    // Every parent is emitted, or is a save_outlier root (SaveOutliers
+    // emits those around SaveAll).
+    std::set<std::uint64_t> ids;
+    for (const SaveResult& r : results) {
+      ids.insert(DeriveSpanId(r.trace_id, TraceSpanKind::kRoot, 0));
+    }
+    for (const TraceSpan& span : trace.spans) ids.insert(span.span_id);
+    for (const TraceSpan& span : trace.spans) {
+      if (span.trace_id == 0 || span.parent_id == 0) continue;
+      EXPECT_EQ(ids.count(span.parent_id), 1u)
+          << span.name << " orphaned at " << threads << " threads";
+    }
+
+    ASSERT_EQ(explain.logs.size(), results.size());
+    std::size_t retried = 0;
+    for (const ExplainSearchLog& log : explain.logs) {
+      const SaveResult& r = results[log.ordinal];
+      EXPECT_EQ(log.attempt, r.stats.retries + 1) << log.ordinal;
+      if (r.stats.retries == 0) continue;
+      ++retried;
+      EXPECT_EQ(log.attempt, 2u) << log.ordinal;
+      EXPECT_EQ(r.termination, SaveTermination::kCompleted) << log.ordinal;
+    }
+    EXPECT_EQ(retried, 1u) << threads;
+  }
 }
 
 }  // namespace

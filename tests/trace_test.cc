@@ -1,19 +1,26 @@
 // Unit tests for the hierarchical tracing primitives (DESIGN.md §13):
-// deterministic id derivation, the PhaseScope pause/resume discipline,
-// SpanCollector drain ordering, the WallPhaseProfiler accumulators, and the
-// TraceRecorder ring behind /tracez. The span-set parity of a full pipeline
-// run lives in trace_determinism_test.cc.
+// deterministic id derivation, the PhaseScope pause/resume discipline on a
+// SearchObservation, pooled chunk spans handed to the owner, finishing an
+// observation into its record, the one publish path's span ordering and
+// /tracez feed, the WallPhaseProfiler accumulators, and the TraceRecorder
+// ring behind /tracez. The span-set parity of a full pipeline run lives in
+// trace_determinism_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "common/trace.h"
+#include "core/row_scan.h"
+#include "core/search_observation.h"
 
 namespace disc {
 namespace {
@@ -58,24 +65,29 @@ void SpinFor(std::uint64_t ns) {
   }
 }
 
+/// A timed observation with derived ids, as SaveAll builds for ordinal 0.
+SearchObservation TracedObservation(WallPhaseProfiler* profiler) {
+  SearchObservation obs;
+  obs.spans = true;
+  obs.profiler = profiler;
+  obs.trace_id = DeriveTraceId(1, 0);
+  obs.root_span_id = DeriveSpanId(obs.trace_id, TraceSpanKind::kRoot, 0);
+  obs.search_span_id =
+      DeriveSpanId(obs.root_span_id, TraceSpanKind::kSearch, 0);
+  return obs;
+}
+
 TEST(PhaseScopeTest, NestedScopePausesTheOuterPhase) {
-  SpanCollector collector(1);
   WallPhaseProfiler profiler;
-  SearchTrace trace;
-  trace.collector = &collector;
-  trace.profiler = &profiler;
-  trace.trace_id = DeriveTraceId(1, 0);
-  trace.root_span_id = DeriveSpanId(trace.trace_id, TraceSpanKind::kRoot, 0);
-  trace.search_span_id =
-      DeriveSpanId(trace.root_span_id, TraceSpanKind::kSearch, 0);
-  ASSERT_TRUE(trace.enabled());
+  SearchObservation obs = TracedObservation(&profiler);
+  ASSERT_TRUE(obs.timed());
 
   const std::uint64_t start = TraceNowNs();
   {
-    PhaseScope outer(&trace, TracePhase::kBoundsScan);
+    PhaseScope outer(&obs, TracePhase::kBoundsScan);
     SpinFor(200'000);
     {
-      PhaseScope inner(&trace, TracePhase::kIndexQuery);
+      PhaseScope inner(&obs, TracePhase::kIndexQuery);
       SpinFor(200'000);
     }
     SpinFor(200'000);
@@ -83,9 +95,9 @@ TEST(PhaseScopeTest, NestedScopePausesTheOuterPhase) {
   const std::uint64_t elapsed = TraceNowNs() - start;
 
   const auto& bounds =
-      trace.phases[static_cast<std::size_t>(TracePhase::kBoundsScan)];
+      obs.phases[static_cast<std::size_t>(TracePhase::kBoundsScan)];
   const auto& index =
-      trace.phases[static_cast<std::size_t>(TracePhase::kIndexQuery)];
+      obs.phases[static_cast<std::size_t>(TracePhase::kIndexQuery)];
   EXPECT_EQ(bounds.count, 1u);
   EXPECT_EQ(index.count, 1u);
   EXPECT_GE(index.ns, 200'000u);
@@ -94,19 +106,26 @@ TEST(PhaseScopeTest, NestedScopePausesTheOuterPhase) {
   // the outer one, so the per-phase total stays <= the real elapsed wall.
   EXPECT_LE(bounds.ns + index.ns, elapsed);
 
-  trace.FlushPhaseSpans(0);
-  std::vector<TraceSpan> spans = collector.Drain();
-  ASSERT_EQ(spans.size(), 2u);
-  for (const TraceSpan& span : spans) {
-    EXPECT_EQ(span.trace_id, trace.trace_id);
-    EXPECT_EQ(span.parent_id, trace.search_span_id);
+  obs.FoldPhases();
+  SearchRecord record;
+  obs.Finish({"disc", 0, 1, SaveTermination::kCompleted}, SearchStats(),
+             &record);
+  ASSERT_EQ(record.spans.size(), 3u);  // the search span + two phases
+  EXPECT_EQ(record.spans[0].name, "search");
+  EXPECT_EQ(record.spans[0].span_id, obs.search_span_id);
+  EXPECT_EQ(record.spans[0].parent_id, obs.root_span_id);
+  for (std::size_t i = 1; i < record.spans.size(); ++i) {
+    const TraceSpan& span = record.spans[i];
+    EXPECT_EQ(span.trace_id, obs.trace_id);
+    EXPECT_EQ(span.parent_id, obs.search_span_id);
     const TracePhase phase = span.name == "index_query"
                                  ? TracePhase::kIndexQuery
                                  : TracePhase::kBoundsScan;
-    EXPECT_EQ(span.span_id, trace.PhaseSpanId(phase)) << span.name;
+    EXPECT_EQ(span.span_id, obs.PhaseSpanId(phase)) << span.name;
   }
+  EXPECT_FALSE(record.log.has_value());  // explain was off
 
-  // The same totals were folded into the profiler at flush.
+  // The same totals were folded into the profiler.
   const auto snap = profiler.Snapshot();
   EXPECT_EQ(snap[static_cast<std::size_t>(TracePhase::kBoundsScan)].ns,
             bounds.ns);
@@ -114,51 +133,144 @@ TEST(PhaseScopeTest, NestedScopePausesTheOuterPhase) {
             1u);
 }
 
-TEST(PhaseScopeTest, DetachedTraceIsANoOp) {
-  SearchTrace trace;  // no collector, no profiler
-  EXPECT_FALSE(trace.enabled());
+TEST(PhaseScopeTest, UntimedObservationIsANoOp) {
+  SearchObservation obs;  // no spans, no profiler
+  obs.explain = true;     // decisions alone never read the clock
+  EXPECT_FALSE(obs.timed());
   {
-    PhaseScope scope(&trace, TracePhase::kVerdict);
+    PhaseScope scope(&obs, TracePhase::kVerdict);
     PhaseScope null_scope(nullptr, TracePhase::kVerdict);
   }
-  for (const auto& acc : trace.phases) {
+  for (const auto& acc : obs.phases) {
     EXPECT_EQ(acc.ns, 0u);
     EXPECT_EQ(acc.count, 0u);
   }
 }
 
-TEST(SpanCollectorTest, DrainSortsByTraceThenSpanIdAndEmpties) {
-  SpanCollector collector(3);
-  auto make = [](std::uint64_t trace_id, std::uint64_t span_id) {
+TEST(SearchObservationTest, FinishAppendsChunkSpansAfterThePhases) {
+  SearchObservation obs = TracedObservation(nullptr);
+  TraceSpan chunk;
+  chunk.name = "pool_chunk";
+  chunk.trace_id = obs.trace_id;
+  chunk.span_id = 7;
+  chunk.parent_id = obs.PhaseSpanId(TracePhase::kBoundsScan);
+  obs.chunk_spans.push_back(chunk);
+  { PhaseScope scope(&obs, TracePhase::kBoundsScan); }
+
+  SearchRecord record;
+  record.spans.push_back(TraceSpan());  // e.g. the estimate pass's span
+  SearchStats stats;
+  stats.nodes_expanded = 5;
+  obs.Finish({"disc", 3, 2, SaveTermination::kFault}, stats, &record);
+  ASSERT_EQ(record.spans.size(), 4u);
+  EXPECT_EQ(record.spans[1].name, "search");
+  EXPECT_EQ(record.spans[2].name, "bounds_scan");
+  EXPECT_EQ(record.spans[3].name, "pool_chunk");
+  EXPECT_TRUE(obs.chunk_spans.empty());
+  const TraceSpan& search = record.spans[1];
+  const auto has_int = [&](const char* key, std::uint64_t value) {
+    for (const auto& [k, v] : search.int_attrs) {
+      if (k == key) return v == value;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_int("ordinal", 3));
+  EXPECT_TRUE(has_int("nodes_expanded", 5));
+  ASSERT_FALSE(search.str_attrs.empty());
+  EXPECT_EQ(search.str_attrs[0].second, "fault");
+}
+
+TEST(SearchObservationTest, PooledScanHandsChunkSpansToTheOwner) {
+  SearchObservation obs = TracedObservation(nullptr);
+  WorkStealingPool pool(4);
+  const std::size_t rows = 2 * kScanGrain + 300;
+  ASSERT_TRUE(UseChunkedScan(&pool, rows));
+  std::atomic<std::size_t> scanned{0};
+  for (int scan = 0; scan < 2; ++scan) {
+    struct NoState {};
+    ScanRows(
+        RowScan{rows, nullptr, &pool, &obs, TracePhase::kDcacheFill},
+        [] { return NoState(); },
+        [&](NoState&, std::size_t begin, std::size_t end) {
+          scanned.fetch_add(end - begin, std::memory_order_relaxed);
+        },
+        [](NoState&, NoState&) {});
+  }
+  EXPECT_EQ(scanned.load(), 2 * rows);
+  EXPECT_EQ(obs.scan_ordinal, 2u);
+
+  // Three chunks per scan, in chunk order, ids derived from the scan
+  // ordinal and chunk index alone.
+  ASSERT_EQ(obs.chunk_spans.size(), 6u);
+  const std::uint64_t phase_span = obs.PhaseSpanId(TracePhase::kDcacheFill);
+  for (std::size_t i = 0; i < obs.chunk_spans.size(); ++i) {
+    const TraceSpan& span = obs.chunk_spans[i];
+    const std::uint64_t scan_span =
+        DeriveSpanId(phase_span, TraceSpanKind::kScan, i / 3);
+    EXPECT_EQ(span.name, "pool_chunk");
+    EXPECT_EQ(span.trace_id, obs.trace_id);
+    EXPECT_EQ(span.parent_id, phase_span);
+    EXPECT_EQ(span.span_id,
+              DeriveSpanId(scan_span, TraceSpanKind::kChunk, i % 3));
+  }
+  EXPECT_EQ(obs.chunk_spans[2].int_attrs[1].second, 300u);  // the tail rows
+}
+
+/// Thread-safe in-memory trace sink.
+class CaptureTraceSink : public TraceSink {
+ public:
+  void Emit(const TraceSpan& span) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    spans.push_back(span);
+  }
+  std::mutex mu_;
+  std::vector<TraceSpan> spans;
+};
+
+TEST(ObservationSinksTest, PublishSortsSpansAndFeedsTracezOnlySearchSpans) {
+  auto make = [](const char* name, std::uint64_t trace_id,
+                 std::uint64_t span_id) {
     TraceSpan span;
-    span.name = "search";
+    span.name = name;
     span.trace_id = trace_id;
     span.span_id = span_id;
+    span.duration_ns = 1000 + span_id;
     return span;
   };
-  collector.Record(2, make(2, 1));
-  collector.Record(0, make(1, 9));
-  collector.Record(1, make(1, 3));
-  collector.Record(0, make(2, 0));
+  // Filled out of ordinal order, as workers finish them.
+  std::vector<SearchRecord> records(3);
+  records[2].spans = {make("search", 1, 9), make("bounds_scan", 1, 3)};
+  records[0].spans = {make("verdict", 2, 1), make("search", 2, 0)};
+  records[1].spans = {make("estimate", 1, 4)};
 
-  std::vector<TraceSpan> spans = collector.Drain();
-  ASSERT_EQ(spans.size(), 4u);
+  CaptureTraceSink sink;
+  TraceRecorder recorder;
+  ObservationSinks sinks;
+  sinks.trace = &sink;
+  sinks.trace_recorder = &recorder;
+  ASSERT_TRUE(sinks.spans());
+  EXPECT_FALSE(sinks.explaining());
+  sinks.Publish(std::move(records));
+
   std::vector<std::pair<std::uint64_t, std::uint64_t>> order;
-  for (const TraceSpan& span : spans) {
+  for (const TraceSpan& span : sink.spans) {
     order.emplace_back(span.trace_id, span.span_id);
   }
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> want = {
-      {1, 3}, {1, 9}, {2, 0}, {2, 1}};
+      {1, 3}, {1, 4}, {1, 9}, {2, 0}, {2, 1}};
   EXPECT_EQ(order, want);
-  EXPECT_TRUE(collector.Drain().empty());
-}
 
-TEST(SpanCollectorTest, SlotForWorkerMapsWorkersAndCallers) {
-  EXPECT_EQ(SpanSlotForWorker(-1, 4), 3u);  // non-worker -> caller slot
-  EXPECT_EQ(SpanSlotForWorker(0, 4), 0u);
-  EXPECT_EQ(SpanSlotForWorker(2, 4), 2u);
-  EXPECT_EQ(SpanSlotForWorker(3, 4), 3u);  // out-of-range worker -> caller
-  EXPECT_EQ(SpanSlotForWorker(-1, 1), 0u);
+  // /tracez sees the two search spans and nothing else.
+  const std::string json = recorder.ToJson();
+  std::size_t entries = 0;
+  for (std::size_t at = json.find("\"span\":"); at != std::string::npos;
+       at = json.find("\"span\":", at + 1)) {
+    ++entries;
+  }
+  EXPECT_EQ(entries, 2u) << json;
+  EXPECT_EQ(json.find("bounds_scan"), std::string::npos) << json;
+  EXPECT_EQ(json.find("estimate"), std::string::npos) << json;
+  EXPECT_EQ(json.find("verdict"), std::string::npos) << json;
 }
 
 TEST(WallPhaseProfilerTest, ResetIsLosslessAndJsonCarriesFoldedStacks) {
