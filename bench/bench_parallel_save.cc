@@ -16,7 +16,7 @@
 // (the 1-thread sweep already provides the throughput reference).
 //
 // Everything is written machine-readably to BENCH_parallel_save.json
-// (schema_version 3) in the working directory; scripts/check_bench_regression.py
+// (schema_version 4) in the working directory; scripts/check_bench_regression.py
 // compares that file against bench/baselines/.
 //
 // Not a paper figure: this benchmarks the repo's own parallel saving path.
@@ -145,7 +145,7 @@ int Run(bool large) {
 
   JsonWriter json;
   json.BeginObject();
-  json.Key("schema_version").Uint(3);
+  json.Key("schema_version").Uint(4);
   json.Key("bench").String("parallel_save");
   json.Key("large").Bool(large);
   json.Key("hardware_threads").Uint(WorkStealingPool::DefaultThreadCount());
@@ -188,7 +188,7 @@ int Run(bool large) {
   }
 
   PrintHeader("Parallel batch outlier saving (DiscSaver::SaveAll)");
-  PrintRow({"threads", "seconds", "speedup", "saved", "steals", "chunks"});
+  PrintRow({"threads", "seconds", "speedup", "saved", "steals"});
 
   json.Key("thread_sweep").BeginArray();
   std::vector<SaveResult> baseline;
@@ -209,7 +209,6 @@ int Run(bool large) {
       WorkStealingPool::SchedStats after = pool->stats();
       sched.tasks = after.tasks - before.tasks;
       sched.steals = after.steals - before.steals;
-      sched.nested_chunks = after.nested_chunks - before.nested_chunks;
     }
 
     std::size_t saved = 0;
@@ -227,8 +226,7 @@ int Run(bool large) {
     }
     PrintRow({std::to_string(threads), Fmt(seconds, 3),
               Fmt(baseline_seconds / seconds, 2) + "x", std::to_string(saved),
-              std::to_string(sched.steals),
-              std::to_string(sched.nested_chunks)});
+              std::to_string(sched.steals)});
     json.BeginObject();
     json.Key("threads").Uint(threads);
     json.Key("seconds").Number(seconds);
@@ -238,7 +236,6 @@ int Run(bool large) {
     json.Key("sched").BeginObject();
     json.Key("tasks").Uint(sched.tasks);
     json.Key("steals").Uint(sched.steals);
-    json.Key("nested_chunks").Uint(sched.nested_chunks);
     json.EndObject();
     json.EndObject();
   }

@@ -24,8 +24,8 @@
 // JSON snapshot to PATH on exit (see DESIGN.md §8 for the metric names).
 // --trace PATH streams the hierarchical span trees of the run to PATH as
 // JSONL: per outlier a "save_outlier" root, its per-attempt "search" span,
-// the per-phase children (index_query/bounds_scan/dcache_fill/verdict) and
-// the pool-chunk spans of nested scans, all linked by
+// the per-phase children (index_query/bounds_scan/dcache_fill/verdict) and,
+// on a pooled run, the cost-estimate spans, all linked by
 // trace_id/span_id/parent_id (analyze with scripts/analyze_trace.py).
 // --explain[=PATH] streams per-search decision provenance to PATH (or
 // stdout when PATH is omitted) as JSONL, one object per saved outlier:

@@ -79,22 +79,6 @@ struct WorkStealingPool::Batch {
   FaultInjector::Site* fault = nullptr;
 };
 
-/// One in-flight ParallelFor: a fixed chunk layout over [begin, end) plus
-/// claim/completion cursors. Lives on the owner's stack; the owner removes
-/// it from the pool's group list before waiting out the last in-flight
-/// chunks, and no worker touches it after its final `done` increment (made
-/// under the pool mutex), so the stack lifetime is safe.
-struct WorkStealingPool::NestedGroup {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::size_t grain = 1;
-  std::size_t chunks = 0;
-  std::size_t next = 0;  ///< next chunk index to claim
-  std::size_t done = 0;  ///< chunks fully executed
-  const std::function<void(std::size_t, std::size_t, std::size_t)>* body =
-      nullptr;
-};
-
 WorkStealingPool::WorkStealingPool(std::size_t num_threads) {
   num_threads = std::max<std::size_t>(1, num_threads);
   deques_.resize(num_threads);
@@ -143,34 +127,6 @@ void WorkStealingPool::RunTask(std::unique_lock<std::mutex>& lock,
   if (--item.batch->pending == 0) progress_.notify_all();
 }
 
-bool WorkStealingPool::RunNestedChunk(std::unique_lock<std::mutex>& lock,
-                                      NestedGroup* group) {
-  NestedGroup* g = nullptr;
-  if (group != nullptr) {
-    if (group->next < group->chunks) g = group;
-  } else {
-    for (NestedGroup* candidate : nested_) {
-      if (candidate->next < candidate->chunks) {
-        g = candidate;
-        break;
-      }
-    }
-  }
-  if (g == nullptr) return false;
-  const std::size_t index = g->next++;
-  ++stats_.nested_chunks;
-  const std::size_t chunk_begin = g->begin + index * g->grain;
-  const std::size_t chunk_end = std::min(g->end, chunk_begin + g->grain);
-  const auto* body = g->body;
-  lock.unlock();
-  // `body` must not throw (ParallelFor contract); the scan chunks it runs
-  // are plain arithmetic loops.
-  (*body)(chunk_begin, chunk_end, index);
-  lock.lock();
-  if (++g->done == g->chunks) progress_.notify_all();
-  return true;
-}
-
 void WorkStealingPool::WorkerLoop(std::size_t self) {
   const std::size_t w = deques_.size();  // sized before any thread starts
   std::unique_lock<std::mutex> lock(mutex_);
@@ -196,8 +152,6 @@ void WorkStealingPool::WorkerLoop(std::size_t self) {
       }
     }
     if (stole) continue;
-    // 3. No batch work anywhere: help a straggler's nested scan chunks.
-    if (RunNestedChunk(lock, nullptr)) continue;
     if (stopping_) return;
     // The park below is the steal_idle wall phase: when the profiler is
     // attached, meter how long this worker sat without runnable work. The
@@ -234,36 +188,6 @@ void WorkStealingPool::RunBatch(const std::vector<std::size_t>& order,
     progress_.wait(lock, [&] { return batch.pending == 0; });
   }
   if (batch.error != nullptr) std::rethrow_exception(batch.error);
-}
-
-void WorkStealingPool::ParallelFor(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (end <= begin) return;
-  if (grain == 0) grain = 1;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = (n + grain - 1) / grain;
-  if (chunks < 2 || workers_.size() < 2) {
-    body(begin, end, 0);
-    return;
-  }
-  NestedGroup group;
-  group.begin = begin;
-  group.end = end;
-  group.grain = grain;
-  group.chunks = chunks;
-  group.body = &body;
-  std::unique_lock<std::mutex> lock(mutex_);
-  nested_.push_back(&group);
-  work_ready_.notify_all();
-  // The caller works its own group dry (it never adopts another group's
-  // chunks, keeping nesting deadlock-free)...
-  while (RunNestedChunk(lock, &group)) {
-  }
-  // ...then retires the group so no further worker discovers it, and waits
-  // out the chunks other workers still have in flight.
-  nested_.erase(std::find(nested_.begin(), nested_.end(), &group));
-  progress_.wait(lock, [&] { return group.done == group.chunks; });
 }
 
 WorkStealingPool::SchedStats WorkStealingPool::stats() const {

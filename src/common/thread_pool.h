@@ -90,8 +90,9 @@ class ThreadPool {
 };
 
 /// Work-stealing pool for batches of independent, cost-skewed tasks (the
-/// per-outlier DISC searches of DiscSaver::SaveAll) plus nested data
-/// parallelism inside a task (the chunked O(n) bound scans of BoundsEngine).
+/// per-outlier DISC searches of DiscSaver::SaveAll). This is the one level
+/// of parallelism in the saving pipeline: each task runs its O(n) bound
+/// scans inline on its own worker (DESIGN.md §10).
 ///
 /// Scheduling policy:
 ///  - RunBatch distributes the caller-ordered indices round-robin across
@@ -104,39 +105,35 @@ class ThreadPool {
 ///    cheapest queued task), scanning victims round-robin from its own
 ///    index. Stealing the back minimizes contention with the owner and
 ///    takes the work the owner would reach last.
-///  - A worker with no batch work serves nested chunks (ParallelFor) from
-///    any in-flight task group, so late stragglers use idle cores.
 ///
 /// Determinism: scheduling never reorders *results* — RunBatch callers
-/// write into per-index slots and merge by input order, and ParallelFor
-/// chunk boundaries are a pure function of (range, grain), with each chunk
-/// writing its own slot. Which thread runs what is nondeterministic; what
-/// is computed is not.
+/// write into per-index slots and merge by input order. Which thread runs
+/// what is nondeterministic; what is computed is not.
 ///
-/// Synchronization is one pool-wide mutex guarding the deques, the nested
-/// group list and the completion counts. The tasks this pool schedules are
-/// coarse (milliseconds per search, tens of microseconds per nested chunk),
-/// so a single uncontended lock costs nothing measurable, keeps the
-/// owner/thief deque ends trivially correct, and is TSan-clean by
-/// construction. The *policy* above — per-worker deques, owner-front,
-/// steal-back, cost-ordered — is what delivers the scaling.
+/// Synchronization is one pool-wide mutex guarding the deques and the
+/// completion counts. The tasks this pool schedules are coarse
+/// (milliseconds per search), so a single uncontended lock costs nothing
+/// measurable, keeps the owner/thief deque ends trivially correct, and is
+/// TSan-clean by construction. The *policy* above — per-worker deques,
+/// owner-front, steal-back, cost-ordered — is what delivers the scaling.
 ///
-/// Thread-safety: RunBatch and ParallelFor may be called concurrently from
-/// any threads (including from inside a running batch task, for
-/// ParallelFor). The destructor must not race with in-flight calls.
+/// Thread-safety: RunBatch may be called concurrently from non-worker
+/// threads. The destructor must not race with in-flight calls.
 class WorkStealingPool {
  public:
   /// Cumulative scheduler telemetry (monotone; see stats()).
   struct SchedStats {
     std::uint64_t tasks = 0;          ///< batch tasks executed
     std::uint64_t steals = 0;         ///< tasks taken from another deque
-    std::uint64_t nested_chunks = 0;  ///< ParallelFor chunks executed
+    /// Always 0: the pool runs no nested chunks. Kept so existing readers
+    /// of the field still compile.
+    std::uint64_t nested_chunks = 0;
   };
 
   /// Starts `num_threads` workers (at least 1).
   explicit WorkStealingPool(std::size_t num_threads);
 
-  /// Joins the workers. No batch or ParallelFor may be in flight.
+  /// Joins the workers. No batch may be in flight.
   ~WorkStealingPool();
 
   WorkStealingPool(const WorkStealingPool&) = delete;
@@ -155,22 +152,6 @@ class WorkStealingPool {
   void RunBatch(const std::vector<std::size_t>& order,
                 const std::function<void(std::size_t)>& task);
 
-  /// Nested data parallelism: splits [begin, end) into fixed chunks of
-  /// `grain` indices (last chunk may be short) and runs
-  /// body(chunk_begin, chunk_end, chunk_index) for each. The caller
-  /// executes chunks itself and idle workers help; returns when every
-  /// chunk is done. Chunk boundaries depend only on (begin, end, grain) —
-  /// never on the worker count — so per-chunk partial results merge
-  /// deterministically. With one worker, or fewer than two chunks, the
-  /// whole range runs inline as chunk 0. `body` must not throw.
-  ///
-  /// Callable from inside a RunBatch task: the calling worker helps only
-  /// with its OWN group while waiting (never adopts another task's chunks),
-  /// which bounds the stack and rules out cross-group deadlock.
-  void ParallelFor(
-      std::size_t begin, std::size_t end, std::size_t grain,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
-
   /// Cumulative scheduler counters since construction. Monotone, so two
   /// snapshots bracket a batch: flush the difference into a
   /// MetricsRegistry (disc_sched_*_total).
@@ -184,7 +165,6 @@ class WorkStealingPool {
 
  private:
   struct Batch;
-  struct NestedGroup;
   struct QueuedTask {
     Batch* batch;
     std::size_t index;
@@ -194,15 +174,11 @@ class WorkStealingPool {
   /// Runs `item` outside the lock and completes its batch bookkeeping.
   void RunTask(std::unique_lock<std::mutex>& lock, QueuedTask item,
                bool stolen);
-  /// Claims and runs one chunk of `group` (or of any live group when
-  /// null). Returns false when there is nothing to claim.
-  bool RunNestedChunk(std::unique_lock<std::mutex>& lock, NestedGroup* group);
 
   mutable std::mutex mutex_;
-  std::condition_variable work_ready_;  ///< task or chunk queued / stopping
-  std::condition_variable progress_;    ///< a batch task or chunk completed
+  std::condition_variable work_ready_;  ///< task queued / stopping
+  std::condition_variable progress_;    ///< a batch task completed
   std::vector<std::deque<QueuedTask>> deques_;  ///< one per worker
-  std::vector<NestedGroup*> nested_;            ///< in-flight chunk groups
   std::vector<std::thread> workers_;
   SchedStats stats_;
   bool stopping_ = false;

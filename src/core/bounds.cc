@@ -129,8 +129,7 @@ double BoundsEngine::GlobalLowerBound(const Tuple& outlier,
 
 double BoundsEngine::LowerBoundForX(const Tuple& /*outlier*/,
                                     const AttributeSet& x, BudgetGauge* gauge,
-                                    const SearchDistanceCache* dcache,
-                                    WorkStealingPool* nested) const {
+                                    const SearchDistanceCache* dcache) const {
   // Candidates are inliers with Δ(t_o[X], t[X]) ≤ ε (the shaded band in
   // Figure 3); among them we need the η-th nearest in full-space distance
   // (η−1 excluding the tuple's self-count).
@@ -145,27 +144,17 @@ double BoundsEngine::LowerBoundForX(const Tuple& /*outlier*/,
   // Collect full-space distances of qualifying inliers, keeping only the
   // smallest `needed` of them. Band checks pass ε as the early-exit
   // threshold so they stop at the first overshooting attribute (the
-  // verdict is unchanged: non-negative Lp aggregates are monotone). Pooled
-  // chunks keep their own k-smallest sets; folding them together keeps the
-  // global k-smallest multiset intact (a chunk only drops distances with
-  // `needed` smaller ones inside the chunk), so the bound and the
-  // "< needed qualifiers → +inf" verdict equal the sequential scan's.
-  // Resolved on the calling thread: AttributeRow's lazy fill mutates under
-  // const and must never run inside a chunk.
+  // verdict is unchanged: non-negative Lp aggregates are monotone).
   const SubsetRows band = ResolveSubsetRows(*dcache, x, evaluator_.arity());
   const LpNorm norm = evaluator_.norm();
   const double eps = constraint_.epsilon;
-  const RowScan scan{relation_.size(), gauge, nested, ObservationOf(gauge)};
   std::optional<KSmallest> nearest = ScanRows(
-      scan, [needed] { return KSmallest(needed); },
+      RowScan{relation_.size(), gauge}, [needed] { return KSmallest(needed); },
       [&](KSmallest& k, std::size_t begin, std::size_t end) {
         for (std::size_t row = begin; row < end; ++row) {
           if (SubsetDistanceWithin(band, norm, row, eps) > eps) continue;
           k.Offer(dcache->FullDistance(row));
         }
-      },
-      [](KSmallest& total, const KSmallest& part) {
-        for (double d : part.heap) total.Offer(d);
       });
   // An abandoned scan returns the uninformative bound 0: nothing is pruned
   // on its account, and the caller unwinds via gauge->stopped().
@@ -180,7 +169,7 @@ double BoundsEngine::LowerBoundForX(const Tuple& /*outlier*/,
 
 std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
     const Tuple& outlier, const AttributeSet& x, BudgetGauge* gauge,
-    const SearchDistanceCache* dcache, WorkStealingPool* nested) const {
+    const SearchDistanceCache* dcache) const {
   const std::size_t arity = evaluator_.arity();
   if (gauge != nullptr) {
     ++gauge->stats().index_queries;
@@ -195,19 +184,13 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
   //      by an exact neighbor count. (a)'s sufficient condition is very
   //      conservative when δ_η runs close to ε (chains, sparse clusters,
   //      high dimension), where (b) still finds cheap feasible splices.
-  // Pooled chunks track their own minima with chunk-local cost caps;
-  // accepted splice costs are always exact, so each chunk's minima equal a
-  // sequential scan of its rows, and folding them in ascending chunk order
-  // with strict < picks the global minimum at its lowest row — exactly the
-  // sequential first-minimum.
   const SubsetRows band = ResolveSubsetRows(*dcache, x, arity);
   const SubsetRows splice_rows =
       ResolveSubsetRows(*dcache, x.ComplementIn(arity), arity);
   const LpNorm norm = evaluator_.norm();
   const double eps = constraint_.epsilon;
-  const RowScan scan{relation_.size(), gauge, nested, ObservationOf(gauge)};
   std::optional<Donors> donors = ScanRows(
-      scan, [] { return Donors(); },
+      RowScan{relation_.size(), gauge}, [] { return Donors(); },
       [&](Donors& best, std::size_t begin, std::size_t end) {
         for (std::size_t row = begin; row < end; ++row) {
           const double dx = SubsetDistanceWithin(band, norm, row, eps);
@@ -221,10 +204,6 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
           best.OfferAny(cost, row);
           if (cache_.delta(row) <= eps - dx) best.OfferQualified(cost, row);
         }
-      },
-      [](Donors& total, const Donors& part) {
-        total.OfferAny(part.any, part.any_row);
-        total.OfferQualified(part.qualified, part.qualified_row);
       });
   // No partial donor scan may produce a bound: abandoning returns "no upper
   // bound" so the incumbent is never replaced by a half-searched splice

@@ -16,8 +16,6 @@
 
 namespace disc {
 
-class WorkStealingPool;
-
 /// Bound computations of §3.1 / §3.2, shared by the DISC approximation and
 /// by tests that sandwich the exact optimum.
 ///
@@ -35,16 +33,11 @@ class WorkStealingPool;
 /// behaviour is unchanged.
 ///
 /// LowerBoundForX and UpperBoundForX each scan the band once, with one row
-/// loop run by the chunked row-scan primitive of core/row_scan.h. The
-/// inline scan is a single chunk over [0, n); with a `nested` pool the
-/// same loop runs per chunk, chunk boundaries being a pure function of
-/// (n, grain). The merges are order-insensitive reconstructions of the
-/// sequential reduction (k-smallest multiset for Prop 3; ascending-chunk
-/// strict-< first minimum for Prop 5), so results stay bit-identical for
-/// any worker count. The inline scan polls KeepScanning(), which also hits
-/// the `bounds.scan` fault site; pooled chunks poll the thread-safe
-/// HardStopRequested(), and on a stop the owner records the reason and
-/// returns the same safe value.
+/// loop run by the row-scan primitive of core/row_scan.h, inline on the
+/// calling search's thread and in ascending row order. A metered scan polls
+/// KeepScanning() every kScanPollStride rows, which also hits the
+/// `bounds.scan` fault site, so every scan of every search meets the same
+/// polls whatever the batch's thread count.
 class BoundsEngine {
  public:
   /// `relation` is the inlier set r; `cache` holds δ_η(t) per inlier
@@ -68,18 +61,16 @@ class BoundsEngine {
   ///
   /// `dcache` must be non-null: the per-search cache built for this
   /// `outlier` over this relation, whose full-space distances and memoized
-  /// attribute rows the scan reads. `nested`, when supplied, chunks the row
-  /// scan across idle pool workers (see the class comment); any lazy dcache
-  /// rows for X are resolved on the calling thread first.
+  /// attribute rows the scan reads.
   double LowerBoundForX(const Tuple& outlier, const AttributeSet& x,
-                        BudgetGauge* gauge, const SearchDistanceCache* dcache,
-                        WorkStealingPool* nested = nullptr) const;
+                        BudgetGauge* gauge,
+                        const SearchDistanceCache* dcache) const;
 
   /// Upper bound of Proposition 5. Finds t_2 ∈ r_ε(t_o[X]) with
   /// δ_η(t_2) ≤ ε − Δ(t_o[X], t_2[X]) minimizing Δ(t_o[R\X], t_2[R\X]), and
   /// returns the spliced tuple t_o^u (t_o on X, t_2 on R\X) together with
-  /// its adjustment cost. Empty when no such t_2 exists. `dcache` and
-  /// `nested` are as for LowerBoundForX.
+  /// its adjustment cost. Empty when no such t_2 exists. `dcache` is as for
+  /// LowerBoundForX.
   struct UpperBound {
     Tuple adjusted;
     double cost = 0;
@@ -87,8 +78,7 @@ class BoundsEngine {
   };
   std::optional<UpperBound> UpperBoundForX(
       const Tuple& outlier, const AttributeSet& x, BudgetGauge* gauge,
-      const SearchDistanceCache* dcache,
-      WorkStealingPool* nested = nullptr) const;
+      const SearchDistanceCache* dcache) const;
 
   /// Feasibility check: does `candidate` have ≥ η ε-neighbors in r?
   bool IsFeasible(const Tuple& candidate, BudgetGauge* gauge = nullptr) const;

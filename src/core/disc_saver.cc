@@ -92,8 +92,6 @@ struct DiscSaver::SearchState {
   /// memoized per-attribute rows), shared by every bound computation of this
   /// search.
   const SearchDistanceCache* dcache = nullptr;
-  /// Pool serving the chunked bound scans of this search (null = inline).
-  WorkStealingPool* nested = nullptr;
 };
 
 void DiscSaver::Explore(const Tuple& outlier, AttributeSet x,
@@ -132,8 +130,7 @@ void DiscSaver::Explore(const Tuple& outlier, AttributeSet x,
   // keeps X fixed costs at least LB(X); supersets of X only cost more, so
   // the whole subtree is cut when LB(X) >= incumbent.
   if (options.use_lower_bound_pruning) {
-    double lb = bounds_->LowerBoundForX(outlier, x, gauge, state->dcache,
-                                        state->nested);
+    double lb = bounds_->LowerBoundForX(outlier, x, gauge, state->dcache);
     if (gauge->stopped()) {
       if (ex != nullptr) {
         node.action = ExplainAction::kPruneBudget;
@@ -158,7 +155,7 @@ void DiscSaver::Explore(const Tuple& outlier, AttributeSet x,
   // donor scan yields no bound, so a stopped gauge can never sneak a
   // half-searched splice into the incumbent.
   std::optional<BoundsEngine::UpperBound> ub =
-      bounds_->UpperBoundForX(outlier, x, gauge, state->dcache, state->nested);
+      bounds_->UpperBoundForX(outlier, x, gauge, state->dcache);
   if (gauge->stopped()) {
     if (ex != nullptr) {
       node.action = ExplainAction::kPruneBudget;
@@ -258,7 +255,6 @@ double DiscSaver::EstimateSearchCost(const Tuple& outlier) const {
 SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
                                Deadline task_deadline,
                                const CancellationToken& batch_cancellation,
-                               WorkStealingPool* nested,
                                SearchObservation* obs) const {
   const std::uint64_t start_ns = TraceNowNs();
   // `search.start` fault site: an error here aborts the search before any
@@ -274,7 +270,6 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
   gauge.set_observation(obs);
   SearchState state;
   state.gauge = &gauge;
-  state.nested = nested;
 
   // Per-search distance cache: Δ(t_o, t) to every inlier is invariant
   // across all B&B nodes of this search, so compute the vector once here
@@ -290,8 +285,7 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
     return FaultedResult(outlier, start_ns);
   }
   const SearchDistanceCache dcache(inliers_, evaluator_, outlier,
-                                   columnar_.get(), &gauge.stats(), nested,
-                                   obs);
+                                   columnar_.get(), &gauge.stats(), obs);
   state.dcache = &dcache;
 
   // The X = emptyset upper bound (Lemma 4 flavour): nearest substitution-
@@ -303,7 +297,7 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
   // and mask the low-attribute adjustment the caller asked for. The
   // substitution is reconsidered after revert refinement below.
   std::optional<BoundsEngine::UpperBound> global_seed = bounds_->UpperBoundForX(
-      outlier, AttributeSet(), &gauge, state.dcache, nested);
+      outlier, AttributeSet(), &gauge, state.dcache);
   if (!restricted && global_seed.has_value()) {
     state.best_cost = global_seed->cost;
     state.best_adjusted = global_seed->adjusted;
@@ -472,7 +466,6 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
   const bool parallel = pool != nullptr && pool->size() > 1 && pending > 1;
   const std::size_t workers =
       parallel ? std::min<std::size_t>(pool->size(), pending) : 1;
-  WorkStealingPool* nested = parallel ? pool : nullptr;
 
   // Observation (DESIGN.md §13, §14). Every search carries one
   // SearchObservation on its gauge; after its retry loop the final attempt
@@ -482,8 +475,8 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
   // wall-phase profiler rides along when attached. All ids derive from
   // (batch seed, input ordinal), never from time or scheduling, so the
   // published span set and log stream for the same work are identical at
-  // every thread count (pool_chunk/estimate spans excepted — they exist
-  // only where the parallel paths engage). Explain-only runs still derive
+  // every thread count (estimate spans excepted — they exist only where the
+  // scheduler runs the cost-estimate pass). Explain-only runs still derive
   // trace ids so logs, spans and exemplars stay joinable on one identity.
   // When everything is detached every per-search hook is a null check.
   const ObservationSinks sinks{trace, GlobalTraceRecorder(), explain,
@@ -497,9 +490,9 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
   std::vector<SearchRecord> records(derive_ids ? n : 0);
 
   // The observation of one attempt. Each attempt starts fresh — phase
-  // accumulators, chunk spans and events — and its search span id carries
-  // the attempt ordinal, so an aborted attempt never aliases the one whose
-  // result stands.
+  // accumulators and events — and its search span id carries the attempt
+  // ordinal, so an aborted attempt never aliases the one whose result
+  // stands.
   auto observe = [&](std::size_t ordinal, std::size_t attempt) {
     SearchObservation obs;
     obs.spans = span_tracing;
@@ -581,7 +574,7 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
       // the profiler: it was spent.
       for (;;) {
         result = SaveImpl(outlier, options, task_slice(), batch.cancellation,
-                          nested, observing ? &obs : nullptr);
+                          observing ? &obs : nullptr);
         obs.FoldPhases();
         if (attempt >= recovery.retry.max_attempts ||
             !RetryPolicy::IsTransient(result.termination)) {
@@ -719,11 +712,6 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
             metrics->GetCounter("disc_sched_steals_total",
                                 "Tasks taken from another worker's deque")) {
       c->Add(after.steals - before.steals);
-    }
-    if (Counter* c = metrics->GetCounter(
-            "disc_sched_nested_chunks_total",
-            "Nested bound-scan chunks executed by pool workers")) {
-      c->Add(after.nested_chunks - before.nested_chunks);
     }
   }
   if (progress != nullptr) progress->MarkDone();

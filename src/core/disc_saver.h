@@ -172,13 +172,11 @@ class DiscSaver {
   /// — how far it sits from the inlier mass predicts how much bound work
   /// the B&B search needs), the estimates are sorted descending, and the
   /// pool's work-stealing deques start the hardest searches first while
-  /// idle workers steal the cheap ones from the back. Late stragglers
-  /// additionally fan their O(n) bound scans out across idle workers
-  /// (nested parallelism — see BoundsEngine and WorkStealingPool).
+  /// idle workers steal the cheap ones from the back. Each search runs
+  /// its O(n) bound scans inline on its own worker.
   ///
   /// Determinism: the schedule orders only *execution*; every per-outlier
-  /// search performs identical work to a plain Save() call (the nested
-  /// chunk merges are bit-identical by construction, and the cost
+  /// search performs identical work to a plain Save() call (the cost
   /// estimates run outside the per-search SearchStats), and results are
   /// merged by input order — so the returned vector, including the
   /// attached stats (SearchStats::SameWork), is bit-identical for every
@@ -204,13 +202,13 @@ class DiscSaver {
   /// each worker records its outlier as it finishes, so /statusz sees live
   /// counts. With a non-null `trace` (or a global TraceRecorder), each
   /// search's span tree — the "search" span carrying the ordinal and the
-  /// full SearchStats, its phase spans and any pool_chunk spans — lands in
-  /// its per-ordinal record and is published once the batch joins, sorted
-  /// by (trace_id, span_id). Only the attempt whose result stands publishes;
-  /// aborted retry attempts leave no spans. Neither hook touches the search
-  /// itself: results stay bit-identical with or without them. Scheduler
-  /// telemetry (task/steal/nested-chunk deltas, live queue depth) flows
-  /// into the global MetricsRegistry as disc_sched_* when one is attached.
+  /// full SearchStats, and its phase spans — lands in its per-ordinal
+  /// record and is published once the batch joins, sorted by (trace_id,
+  /// span_id). Only the attempt whose result stands publishes; aborted
+  /// retry attempts leave no spans. Neither hook touches the search itself:
+  /// results stay bit-identical with or without them. Scheduler telemetry
+  /// (task/steal deltas, live queue depth) flows into the global
+  /// MetricsRegistry as disc_sched_* when one is attached.
   ///
   /// Recovery: with `recovery.journal` each definitive result is made
   /// durable as it lands; with `recovery.resume` journaled ordinals are
@@ -239,16 +237,13 @@ class DiscSaver {
 
  private:
   struct SearchState;
-  /// `nested`, when non-null, serves the chunked bound scans of this search
-  /// (results bit-identical with or without it). `obs`, when non-null,
-  /// rides on the BudgetGauge through every bound computation and records
-  /// the wall phases, chunk spans and decisions of this search
+  /// `obs`, when non-null, rides on the BudgetGauge through every bound
+  /// computation and records the wall phases and decisions of this search
   /// (core/search_observation.h); observing never changes what is
   /// computed.
   SaveResult SaveImpl(const Tuple& outlier, const SaveOptions& options,
                       Deadline task_deadline,
                       const CancellationToken& batch_cancellation,
-                      WorkStealingPool* nested = nullptr,
                       SearchObservation* obs = nullptr) const;
   /// Scheduling cost estimate for one outlier: its η−1-NN distance in r.
   /// Cheap (one grid-accelerated kNN query), correlates with how much of

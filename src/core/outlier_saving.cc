@@ -472,7 +472,7 @@ SavedDataset SaveOutliers(const Relation& data,
     if (options.trace != nullptr ||
         (recorder != nullptr && rec.trace_id != 0)) {
       // The root of the outlier's span tree: the per-attempt search spans
-      // and their phase/chunk children (emitted by SaveAll's drain) parent
+      // and their phase children (emitted by SaveAll's drain) parent
       // up to this span via DeriveSpanId(trace_id, kRoot, 0).
       TraceSpan span;
       span.name = "save_outlier";

@@ -112,24 +112,6 @@ bool BudgetGauge::KeepScanning() {
   return true;
 }
 
-bool BudgetGauge::HardStopRequested() const {
-  if ((budget_ != nullptr && budget_->cancellation.cancelled()) ||
-      extra_cancellation_.cancelled()) {
-    return true;
-  }
-  return deadline_.expired();
-}
-
-void BudgetGauge::RecordHardStop() {
-  if (stopped_) return;
-  if ((budget_ != nullptr && budget_->cancellation.cancelled()) ||
-      extra_cancellation_.cancelled()) {
-    Stop(SaveTermination::kCancelled);
-    return;
-  }
-  Stop(SaveTermination::kDeadline);
-}
-
 bool BudgetGauge::ContinueRefinement() {
   if (stopped_ && (reason_ == SaveTermination::kDeadline ||
                    reason_ == SaveTermination::kCancelled ||

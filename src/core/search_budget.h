@@ -155,8 +155,8 @@ class BudgetGauge {
   /// unwinds and returns its incumbent.
   bool OnNodeExpanded(std::size_t visited_sets);
 
-  /// Fault/cancellation/deadline poll for an inline row scan inside the
-  /// bound computations, which call it once per kScanPollStride rows
+  /// Fault/cancellation/deadline poll for the row scans inside the bound
+  /// computations, which call it once per kScanPollStride rows
   /// (core/row_scan.h). Hits the `bounds.scan` fault site, then checks
   /// cancellation → deadline. Returns false when the scan must abandon
   /// (also once any stop was recorded); the caller then returns a *safe*
@@ -169,18 +169,6 @@ class BudgetGauge {
   /// stops (visited sets, queries) do not block refinement — it is
   /// polynomial and strictly cost-reducing.
   bool ContinueRefinement();
-
-  /// Thread-safe hard-stop probe for *parallel* scan chunks: reads only the
-  /// cancellation atomics and the steady clock, touching none of the gauge's
-  /// mutable state. Chunk workers poll this; the owning thread then calls
-  /// RecordHardStop() after the chunks join to fold the verdict into the
-  /// single-threaded stop state.
-  bool HardStopRequested() const;
-
-  /// Records a hard stop observed by HardStopRequested() on the owner
-  /// thread. Cancellation wins over deadline (same precedence as
-  /// KeepScanning). No-op if already stopped.
-  void RecordHardStop();
 
   /// The per-search work counters this gauge owns. The bound scans and
   /// feasibility checks record one logical index query each (the unit
@@ -218,7 +206,7 @@ class BudgetGauge {
   CancellationToken extra_cancellation_;
   /// Fault sites resolved once at construction (null when no injector is
   /// attached): `search.node` hit per node expansion, `bounds.scan` hit per
-  /// inline scan poll.
+  /// scan poll.
   FaultInjector::Site* fault_node_ = nullptr;
   FaultInjector::Site* fault_scan_ = nullptr;
   SearchObservation* observation_ = nullptr;

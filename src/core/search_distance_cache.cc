@@ -8,15 +8,11 @@
 
 namespace disc {
 
-static_assert(kScanGrain % ColumnarView::kLanePad == 0,
-              "chunked kernel fills must stay lane-block aligned");
-
 SearchDistanceCache::SearchDistanceCache(const Relation& relation,
                                          const DistanceEvaluator& evaluator,
                                          const Tuple& outlier,
                                          const ColumnarView* view,
                                          SearchStats* stats,
-                                         WorkStealingPool* pool,
                                          SearchObservation* obs)
     : relation_(relation),
       evaluator_(evaluator),
@@ -28,15 +24,12 @@ SearchDistanceCache::SearchDistanceCache(const Relation& relation,
   if (view != nullptr) kernel_.emplace(*view, outlier);
   full_.resize(relation.size());
   PhaseScope phase(obs_, TracePhase::kDcacheFill);
-  // Each entry is an independent write, so chunked and inline fills
-  // produce the identical vector. The kernel's batch fill is vectorized
-  // across rows when the view's SIMD tier allows, bit-identical to per-row
-  // Distance() either way (the scan grain is block-aligned,
-  // ColumnarView::kLanePad). Unmetered: no gauge, so one call per chunk.
+  // The kernel's batch fill is vectorized across rows when the view's SIMD
+  // tier allows, bit-identical to per-row Distance() either way.
+  // Unmetered: no gauge, so the body runs once over every row.
   struct NoState {};
   ScanRows(
-      RowScan{relation.size(), nullptr, pool, obs_, TracePhase::kDcacheFill},
-      [] { return NoState(); },
+      RowScan{relation.size(), nullptr}, [] { return NoState(); },
       [&](NoState&, std::size_t begin, std::size_t end) {
         if (kernel_.has_value()) {
           kernel_->FillDistances(full_.data() + begin, begin, end);
@@ -45,8 +38,7 @@ SearchDistanceCache::SearchDistanceCache(const Relation& relation,
         for (std::size_t i = begin; i < end; ++i) {
           full_[i] = evaluator_.Distance(outlier_, relation_[i]);
         }
-      },
-      [](NoState&, NoState&) {});
+      });
 }
 
 const double* SearchDistanceCache::AttributeRow(std::size_t a) const {

@@ -45,19 +45,12 @@ class SearchDistanceCache {
   /// `evaluator`. All references must outlive the cache; `outlier` must not
   /// be mutated while the cache is live. `stats` (optional) receives one
   /// dcache_miss per lazily filled attribute row and one dcache_hit per
-  /// row request served from the memo. `pool` (optional) chunks the eager
-  /// full-distance fill with the bound scans' row-scan primitive
-  /// (core/row_scan.h) — each row's entry is independent, so chunked
-  /// writes produce the identical vector; the lazy attribute rows stay
-  /// single-threaded (they mutate under const and must only ever be touched
-  /// by the owning search thread). `obs` (optional) charges the eager and
-  /// lazy fills to the dcache_fill wall phase and receives the per-chunk
-  /// spans of the parallel fill.
+  /// row request served from the memo. `obs` (optional) charges the eager
+  /// and lazy fills to the dcache_fill wall phase.
   SearchDistanceCache(const Relation& relation,
                       const DistanceEvaluator& evaluator, const Tuple& outlier,
                       const ColumnarView* view = nullptr,
                       SearchStats* stats = nullptr,
-                      WorkStealingPool* pool = nullptr,
                       SearchObservation* obs = nullptr);
 
   /// Number of inlier rows n.

@@ -18,8 +18,7 @@ void SearchObservation::Finish(const SearchVerdict& verdict,
                                const SearchStats& stats,
                                SearchRecord* record) {
   if (spans) {
-    record->spans.reserve(record->spans.size() + 1 + kTracePhaseCount +
-                          chunk_spans.size());
+    record->spans.reserve(record->spans.size() + 1 + kTracePhaseCount);
     // `ordinal` keys each search span back to its input position.
     TraceSpan search;
     search.name = "search";
@@ -46,10 +45,6 @@ void SearchObservation::Finish(const SearchVerdict& verdict,
       span.Int("count", acc.count);
       record->spans.push_back(std::move(span));
     }
-    for (TraceSpan& span : chunk_spans) {
-      record->spans.push_back(std::move(span));
-    }
-    chunk_spans.clear();
   }
   if (explain) {
     // The verdict fields and the SearchStats mirrors the analyzer
@@ -88,7 +83,7 @@ void ObservationSinks::Publish(std::vector<SearchRecord> records) const {
                      }
                      return a.span_id < b.span_id;
                    });
-  // Only the top-level search spans feed the /tracez ring; phase, chunk and
+  // Only the top-level search spans feed the /tracez ring; phase and
   // estimate spans stay in the sink.
   for (const TraceSpan& span : spans) {
     if (trace_recorder != nullptr && span.name == "search") {

@@ -39,10 +39,9 @@ struct SearchVerdict {
 
 /// What one search (one retry attempt) observed about itself, riding on its
 /// BudgetGauge (DESIGN.md §13): the gauge already flows DiscSaver →
-/// BoundsEngine → SearchDistanceCache → index queries, so every phase edge,
-/// pooled chunk and decision of the search reaches this one context. Owned
-/// by exactly one thread, the search's; pooled scan chunks never touch it
-/// (ScanRows hands their spans to the owner after the join).
+/// BoundsEngine → SearchDistanceCache → index queries, so every phase edge
+/// and decision of the search reaches this one context. Owned by exactly
+/// one thread, the search's: every scan of the search runs inline on it.
 ///
 /// The consumers are chosen by the batch: `spans` builds the span tree,
 /// `profiler` folds phase time into /profilez, `explain` captures the
@@ -58,9 +57,6 @@ struct SearchObservation {
   std::uint64_t trace_id = 0;
   std::uint64_t root_span_id = 0;    ///< the `save_outlier` pipeline span
   std::uint64_t search_span_id = 0;  ///< parent of every phase span
-  /// Deterministic count of chunked scans started by this search; names the
-  /// kScan id of each pooled scan so chunk ids don't depend on scheduling.
-  std::uint64_t scan_ordinal = 0;
 
   struct PhaseAcc {
     std::uint64_t ns = 0;
@@ -70,9 +66,6 @@ struct SearchObservation {
   std::array<PhaseAcc, kTracePhaseCount> phases{};
   /// Innermost live PhaseScope on the owning thread (intrusive stack).
   PhaseScope* active_scope = nullptr;
-  /// `pool_chunk` spans of this search's pooled scans, appended by the
-  /// owning thread after each scan joins.
-  std::vector<TraceSpan> chunk_spans;
 
   /// The decision log (obs/explain.h), captured when `explain` is set.
   std::vector<ExplainEvent> events;
@@ -108,9 +101,9 @@ struct SearchObservation {
   void FoldPhases() const;
 
   /// Finishes the search whose result stands into `record`: its `search`
-  /// span (carrying the ordinal, the termination and `stats`), one
-  /// aggregated span per touched phase and the chunk spans when `spans` is
-  /// set, and the decision log when `explain` is set. Moves the events out.
+  /// span (carrying the ordinal, the termination and `stats`) and one
+  /// aggregated span per touched phase when `spans` is set, and the
+  /// decision log when `explain` is set. Moves the events out.
   void Finish(const SearchVerdict& verdict, const SearchStats& stats,
               SearchRecord* record);
 };

@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "distance/columnar_internal.h"
 #include "distance/columnar_simd.h"
 
@@ -106,31 +105,15 @@ inline void ScanRange(const ColumnarView& v, const double* q, double epsilon,
 }
 
 /// Flushes a batch's work totals to the view's counters (no-op when
-/// metrics are disabled). Called once per batch call or per parallel
-/// chunk — Counter::Add is wait-free and sharded, so chunk-level flushes
-/// from pool workers don't contend.
+/// metrics are disabled). Called once per batch call — Counter::Add is
+/// wait-free and sharded, so flushes from concurrent searches don't
+/// contend.
 inline void FlushScan(const ColumnarView& v, const simd::ScanDelta& delta) {
   const ColumnarView::ScanCounters& c = v.scan_counters();
   if (c.rows_scanned != nullptr) c.rows_scanned->Add(delta.rows_scanned);
   if (c.certain_rejects != nullptr) {
     c.certain_rejects->Add(delta.certain_rejects);
   }
-}
-
-/// Rows per nested chunk for the parallel batch scans. A 6-attribute L2
-/// chunk of this size costs tens of microseconds — coarse enough that the
-/// pool's per-chunk lock round trip is noise, fine enough that a 500k-row
-/// scan splits across every idle core.
-constexpr std::size_t kParallelScanGrain = 8192;
-
-/// Chunk boundaries must be lane-block aligned so per-chunk SIMD scans run
-/// block loops end to end with no scalar head (grain purity: every chunk
-/// but the last is whole blocks).
-static_assert(kParallelScanGrain % ColumnarView::kLanePad == 0);
-
-/// True when splitting an n-row scan over `pool` is worth the fixed cost.
-inline bool UseParallelScan(const WorkStealingPool* pool, std::size_t n) {
-  return pool != nullptr && pool->size() > 1 && n >= 2 * kParallelScanGrain;
 }
 
 }  // namespace
@@ -304,58 +287,6 @@ std::size_t FlatKernel::CountWithin(double epsilon) const {
             &delta);
   FlushScan(*view_, delta);
   return count;
-}
-
-void FlatKernel::CollectWithin(double epsilon, std::vector<std::size_t>* rows,
-                               std::vector<double>* distances,
-                               WorkStealingPool* pool) const {
-  const std::size_t n = view_->rows();
-  if (!UseParallelScan(pool, n)) {
-    CollectWithin(epsilon, rows, distances);
-    return;
-  }
-  const std::size_t chunks =
-      (n + kParallelScanGrain - 1) / kParallelScanGrain;
-  std::vector<std::vector<std::size_t>> chunk_rows(chunks);
-  std::vector<std::vector<double>> chunk_dists(chunks);
-  pool->ParallelFor(
-      0, n, kParallelScanGrain,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        CollectCtx ctx{&chunk_rows[chunk], &chunk_dists[chunk]};
-        simd::ScanDelta delta;
-        ScanRange(*view_, q_.data(), epsilon, begin, end, &CollectHit, &ctx,
-                  &delta);
-        FlushScan(*view_, delta);
-      });
-  // Chunks cover [0, n) in order, so concatenation preserves the ascending
-  // row order of the sequential scan exactly.
-  for (std::size_t c = 0; c < chunks; ++c) {
-    rows->insert(rows->end(), chunk_rows[c].begin(), chunk_rows[c].end());
-    distances->insert(distances->end(), chunk_dists[c].begin(),
-                      chunk_dists[c].end());
-  }
-}
-
-std::size_t FlatKernel::CountWithin(double epsilon,
-                                    WorkStealingPool* pool) const {
-  const std::size_t n = view_->rows();
-  if (!UseParallelScan(pool, n)) return CountWithin(epsilon);
-  const std::size_t chunks =
-      (n + kParallelScanGrain - 1) / kParallelScanGrain;
-  std::vector<std::size_t> chunk_counts(chunks, 0);
-  pool->ParallelFor(
-      0, n, kParallelScanGrain,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        std::size_t count = 0;
-        simd::ScanDelta delta;
-        ScanRange(*view_, q_.data(), epsilon, begin, end, &CountHit, &count,
-                  &delta);
-        FlushScan(*view_, delta);
-        chunk_counts[chunk] = count;
-      });
-  std::size_t total = 0;
-  for (std::size_t c : chunk_counts) total += c;
-  return total;
 }
 
 double FlatKernel::DistanceOn(const AttributeSet& x, std::size_t row) const {

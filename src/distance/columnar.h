@@ -16,7 +16,6 @@
 namespace disc {
 
 class Counter;
-class WorkStealingPool;
 
 /// Columnar (structure-of-arrays) snapshot of an all-numeric Relation for
 /// the flat distance kernels.
@@ -187,21 +186,6 @@ class FlatKernel {
   /// Batch count: the number of rows with Δ(q, t_row) ≤ epsilon, without
   /// materializing the matches. Same verdicts as CollectWithin.
   std::size_t CountWithin(double epsilon) const;
-
-  /// Parallel CollectWithin: chunks the row range across `pool` (nested
-  /// ParallelFor; see WorkStealingPool), each chunk collecting into local
-  /// vectors that are concatenated in chunk order — so the output is
-  /// identical, element for element, to the sequential overload. The chunk
-  /// grain is a multiple of ColumnarView::kLanePad, so every chunk is
-  /// block-aligned and per-chunk SIMD scans stay grain-pure. Falls back
-  /// to the sequential scan for a null/single-thread pool or a small n.
-  void CollectWithin(double epsilon, std::vector<std::size_t>* rows,
-                     std::vector<double>* distances,
-                     WorkStealingPool* pool) const;
-
-  /// Parallel CountWithin: per-chunk counts summed after the join. Same
-  /// verdicts and fallback rules as the parallel CollectWithin.
-  std::size_t CountWithin(double epsilon, WorkStealingPool* pool) const;
 
   /// Batch full-distance fill: out[i − begin] = Distance(i) for i in
   /// [begin, end), bit-identical lane for lane (the canonical attribute

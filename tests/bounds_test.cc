@@ -11,7 +11,6 @@
 
 #include "bound_oracle.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/search_distance_cache.h"
 #include "distance/columnar.h"
 #include "index/index_factory.h"
@@ -184,7 +183,7 @@ TEST_F(BoundsFixture, DonorSpliceIsFeasibleEitherWay) {
 
 // ---------------------------------------------------------------------------
 // Definitional oracle (tests/bound_oracle.h): every scan the engine runs —
-// columnar- or scalar-backed cache, inline or pooled — must equal the
+// over a columnar- or a scalar-backed cache — must equal the
 // plain DistanceEvaluator computation of Props 3 and 5 bit for bit.
 // ---------------------------------------------------------------------------
 
@@ -222,13 +221,11 @@ std::vector<Tuple> IntegerOutliers(std::size_t dims, std::int64_t hi,
 }
 
 /// Compares LowerBoundForX / UpperBoundForX on every X ⊆ R against the
-/// oracle, once per cache backing (`view` null = scalar-backed only) and
-/// with `pool` chunking the scans when non-null.
+/// oracle, once per cache backing (`view` null = scalar-backed only).
 void ExpectBoundsMatchOracle(const Relation& r, const DistanceEvaluator& ev,
                              DistanceConstraint c,
                              const std::vector<Tuple>& outliers,
-                             const ColumnarView* view,
-                             WorkStealingPool* pool) {
+                             const ColumnarView* view) {
   auto index = MakeNeighborIndex(r, ev, c.epsilon);
   KthNeighborCache knn(r, *index, c.eta);
   BoundsEngine engine(r, ev, *index, knn, c);
@@ -246,10 +243,10 @@ void ExpectBoundsMatchOracle(const Relation& r, const DistanceEvaluator& ev,
         const std::string at = "outlier " + std::to_string(i) + " X=" +
                                std::to_string(bits) +
                                (backing != nullptr ? " columnar" : " scalar");
-        EXPECT_EQ(engine.LowerBoundForX(o, x, &gauge, &dcache, pool),
+        EXPECT_EQ(engine.LowerBoundForX(o, x, &gauge, &dcache),
                   oracle::LowerBound(r, ev, c, o, x))
             << at;
-        auto got = engine.UpperBoundForX(o, x, &gauge, &dcache, pool);
+        auto got = engine.UpperBoundForX(o, x, &gauge, &dcache);
         auto want = oracle::UpperBound(r, ev, knn, c, o, x);
         ASSERT_EQ(got.has_value(), want.has_value()) << at;
         if (want.has_value()) {
@@ -272,7 +269,7 @@ TEST(BoundsOracleTest, InlineScansMatchDefinitionOnIntegerGrid) {
     for (DistanceConstraint c : {DistanceConstraint{2.0, 4},
                                  DistanceConstraint{3.0, 7}}) {
       ExpectBoundsMatchOracle(r, ev, c, IntegerOutliers(3, 12, 12, 22),
-                              view.get(), nullptr);
+                              view.get());
     }
   }
 }
@@ -303,22 +300,7 @@ TEST(BoundsOracleTest, InlineScansMatchDefinitionOnMixedSchema) {
     t[2] = Value(static_cast<double>(rng.UniformInt(-2, 14)));
     outliers.push_back(std::move(t));
   }
-  ExpectBoundsMatchOracle(r, ev, {2.0, 4}, outliers, nullptr, nullptr);
-}
-
-TEST(BoundsOracleTest, PooledScansMatchDefinition) {
-  // n ≥ 2 × 8192 with a short tail chunk, so the 4-worker pool chunks every
-  // scan (three chunks) and ties straddle chunk boundaries. The grid is
-  // sparse enough that many cheapest donors fail Prop 5's qualification,
-  // so both donor merges decide results.
-  Relation r = IntegerRelation(2 * 8192 + 300, 3, 40, 41);
-  DistanceEvaluator ev(r.schema());
-  auto view = ColumnarView::Build(r, ev);
-  ASSERT_NE(view, nullptr);
-  WorkStealingPool pool(4);
-  const std::vector<Tuple> outliers = IntegerOutliers(3, 40, 4, 42);
-  ExpectBoundsMatchOracle(r, ev, {2.0, 5}, outliers, view.get(), &pool);
-  ExpectBoundsMatchOracle(r, ev, {2.0, 5}, outliers, view.get(), nullptr);
+  ExpectBoundsMatchOracle(r, ev, {2.0, 4}, outliers, nullptr);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include "bound_oracle.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/bounds.h"
 #include "core/disc_saver.h"
 #include "core/outlier_saving.h"
@@ -543,67 +542,6 @@ TEST(SaverFastPathTest, SaveOutliersPipelineIdentical) {
   ASSERT_EQ(fast.repaired.size(), scalar.repaired.size());
   for (std::size_t i = 0; i < fast.repaired.size(); ++i) {
     EXPECT_TRUE(fast.repaired[i] == scalar.repaired[i]);
-  }
-}
-
-TEST(ParallelScanTest, PooledBatchScansMatchSequentialBitForBit) {
-  // The pooled CollectWithin/CountWithin overloads chunk the row range and
-  // merge per-chunk results; the output must be identical element for
-  // element to the sequential scan. 20k rows so the parallel path actually
-  // engages (it needs n >= 2 * grain = 16384).
-  for (LpNorm norm : {LpNorm::kL1, LpNorm::kL2, LpNorm::kLInf}) {
-    Relation r = RandomNumericRelation(20000, 4, 61);
-    DistanceEvaluator ev(r.schema(), norm);
-    auto view = ColumnarView::Build(r, ev);
-    ASSERT_NE(view, nullptr);
-
-    WorkStealingPool pool(4);
-    Rng rng(67);
-    for (int qi = 0; qi < 5; ++qi) {
-      Tuple query = RandomQuery(4, &rng);
-      FlatKernel kernel(*view, query);
-      for (double eps : {0.5, 4.0, 12.0}) {
-        std::vector<std::size_t> seq_rows, par_rows;
-        std::vector<double> seq_dists, par_dists;
-        kernel.CollectWithin(eps, &seq_rows, &seq_dists);
-        kernel.CollectWithin(eps, &par_rows, &par_dists, &pool);
-        ASSERT_EQ(par_rows.size(), seq_rows.size()) << "eps=" << eps;
-        for (std::size_t i = 0; i < seq_rows.size(); ++i) {
-          EXPECT_EQ(par_rows[i], seq_rows[i]);
-          EXPECT_EQ(par_dists[i], seq_dists[i]);
-        }
-        EXPECT_EQ(kernel.CountWithin(eps, &pool), kernel.CountWithin(eps));
-      }
-    }
-  }
-}
-
-TEST(ParallelScanTest, PooledScansFallBackOnSmallInputsAndSmallPools) {
-  // Below the grain threshold, or with a single-thread/null pool, the
-  // pooled overloads must take the sequential path and still agree.
-  Relation r = RandomNumericRelation(500, 4, 71);
-  DistanceEvaluator ev(r.schema(), LpNorm::kL2);
-  auto view = ColumnarView::Build(r, ev);
-  ASSERT_NE(view, nullptr);
-
-  WorkStealingPool big(4);
-  WorkStealingPool single(1);
-  Rng rng(73);
-  Tuple query = RandomQuery(4, &rng);
-  FlatKernel kernel(*view, query);
-  for (double eps : {1.0, 6.0}) {
-    std::vector<std::size_t> want_rows;
-    std::vector<double> want_dists;
-    kernel.CollectWithin(eps, &want_rows, &want_dists);
-    for (WorkStealingPool* pool :
-         {static_cast<WorkStealingPool*>(nullptr), &single, &big}) {
-      std::vector<std::size_t> rows;
-      std::vector<double> dists;
-      kernel.CollectWithin(eps, &rows, &dists, pool);
-      EXPECT_EQ(rows, want_rows);
-      EXPECT_EQ(dists, want_dists);
-      EXPECT_EQ(kernel.CountWithin(eps, pool), want_rows.size());
-    }
   }
 }
 

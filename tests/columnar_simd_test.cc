@@ -2,8 +2,8 @@
 // entry point of FlatKernel, on every dispatch tier the machine can run,
 // must produce outputs bit-identical to the scalar reference — across lane
 // tails (n % block ≠ 0), sub-lane inputs (n < one block), the narrowest and
-// widest schemas, non-unit scales, NaN/±inf/denormal columns, and pooled
-// chunked scans. Also covers the dispatch-resolution rules of
+// widest schemas, and non-unit scales and NaN/±inf/denormal columns. Also
+// covers the dispatch-resolution rules of
 // common/cpu_features.h and the 64-byte column-alignment invariant.
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "common/cpu_features.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "distance/columnar.h"
 #include "distance/columnar_simd.h"
 #include "distance/evaluator.h"
@@ -269,8 +268,8 @@ TEST_P(SimdNormTest, AllEntryPointsMatchScalarBitForBit) {
           std::vector<double> fill(shape.n);
           kernel.FillDistances(fill.data(), 0, shape.n);
           EXPECT_EQ(fill, ref_fill);
-          // Split fills must agree with the whole-range fill (chunked
-          // SearchDistanceCache path, arbitrary interior boundary).
+          // Split fills must agree with the whole-range fill (the range
+          // form of FillDistances, arbitrary interior boundary).
           if (shape.n > 2) {
             const std::size_t cut = shape.n / 2 + 1;
             std::vector<double> split(shape.n);
@@ -373,41 +372,6 @@ TEST_P(SimdNormTest, EdgeValuesMatchScalarBitForBit) {
 INSTANTIATE_TEST_SUITE_P(AllNorms, SimdNormTest,
                          testing::Values(LpNorm::kL2, LpNorm::kL1,
                                          LpNorm::kLInf));
-
-// ---------------------------------------------------------------------------
-// Pooled scans: SIMD chunks, any thread count, same bits
-// ---------------------------------------------------------------------------
-
-TEST(SimdPooledScanTest, PooledCollectMatchesScalarSequentialExactly) {
-  const std::size_t n = 40000;  // ≥ 2 × grain: the pools actually engage
-  const std::size_t dims = 6;
-  Relation r = RandomNumericRelation(n, dims, 97);
-  DistanceEvaluator ev(r.schema());
-  auto view = ColumnarView::Build(r, ev);
-  ASSERT_NE(view, nullptr);
-  Rng rng(3);
-  Tuple query = RandomQuery(dims, &rng);
-  const double eps = 2.5;
-
-  view->set_simd_tier(SimdTier::kScalar);
-  const ScanResult ref = ScanOn(*view, query, eps);
-
-  for (SimdTier tier : RunnableTiers()) {
-    view->set_simd_tier(tier);
-    FlatKernel kernel(*view, query);
-    for (std::size_t threads : {1u, 4u, 8u}) {
-      WorkStealingPool pool(threads);
-      SCOPED_TRACE(testing::Message() << "tier=" << SimdTierName(tier)
-                                      << " threads=" << threads);
-      std::vector<std::size_t> rows;
-      std::vector<double> dists;
-      kernel.CollectWithin(eps, &rows, &dists, &pool);
-      EXPECT_EQ(rows, ref.rows);
-      EXPECT_EQ(dists, ref.dists);
-      EXPECT_EQ(kernel.CountWithin(eps, &pool), ref.count);
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Point kernels (kd-tree leaf scans) and wide-index end-to-end parity

@@ -276,9 +276,9 @@ TEST(SearchStatsPipeline, TraceAccountsForEverySearch) {
   SpansByKind(path, &by_kind);
   const std::size_t n = saved.records.size();
   // One split span, one search span per outlier, one save_outlier span per
-  // record from the merge loop. The hierarchical layer adds phase and
-  // pool-chunk children under each search (covered by
-  // trace_determinism_test); here only the top-level cardinalities matter.
+  // record from the merge loop. The hierarchical layer adds phase children
+  // under each search (covered by trace_determinism_test); here only the
+  // top-level cardinalities matter.
   ASSERT_EQ(by_kind["split"].size(), 1u) << Slurp(path);
   ASSERT_EQ(by_kind["search"].size(), n) << Slurp(path);
   ASSERT_EQ(by_kind["save_outlier"].size(), n) << Slurp(path);

@@ -1,14 +1,12 @@
 // Unit tests for the hierarchical tracing primitives (DESIGN.md §13):
 // deterministic id derivation, the PhaseScope pause/resume discipline on a
-// SearchObservation, pooled chunk spans handed to the owner, finishing an
-// observation into its record, the one publish path's span ordering and
-// /tracez feed, the WallPhaseProfiler accumulators, and the TraceRecorder
-// ring behind /tracez. The span-set parity of a full pipeline run lives in
-// trace_determinism_test.cc.
+// SearchObservation, finishing an observation into its record, the one
+// publish path's span ordering and /tracez feed, the WallPhaseProfiler
+// accumulators, and the TraceRecorder ring behind /tracez. The span-set
+// parity of a full pipeline run lives in trace_determinism_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -17,9 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/trace.h"
-#include "core/row_scan.h"
 #include "core/search_observation.h"
 
 namespace disc {
@@ -42,13 +38,12 @@ TEST(TraceIds, DerivationIsDeterministicAndCollisionFree) {
   std::set<std::uint64_t> ids;
   for (TraceSpanKind kind :
        {TraceSpanKind::kRoot, TraceSpanKind::kSearch, TraceSpanKind::kPhase,
-        TraceSpanKind::kScan, TraceSpanKind::kChunk,
         TraceSpanKind::kEstimate}) {
     for (std::uint64_t ordinal = 0; ordinal < 8; ++ordinal) {
       ids.insert(DeriveSpanId(trace, kind, ordinal));
     }
   }
-  EXPECT_EQ(ids.size(), 6u * 8u);
+  EXPECT_EQ(ids.size(), 4u * 8u);
   EXPECT_EQ(DeriveSpanId(trace, TraceSpanKind::kSearch, 1),
             DeriveSpanId(trace, TraceSpanKind::kSearch, 1));
 }
@@ -147,14 +142,8 @@ TEST(PhaseScopeTest, UntimedObservationIsANoOp) {
   }
 }
 
-TEST(SearchObservationTest, FinishAppendsChunkSpansAfterThePhases) {
+TEST(SearchObservationTest, FinishAppendsTheSearchSpanAfterExistingSpans) {
   SearchObservation obs = TracedObservation(nullptr);
-  TraceSpan chunk;
-  chunk.name = "pool_chunk";
-  chunk.trace_id = obs.trace_id;
-  chunk.span_id = 7;
-  chunk.parent_id = obs.PhaseSpanId(TracePhase::kBoundsScan);
-  obs.chunk_spans.push_back(chunk);
   { PhaseScope scope(&obs, TracePhase::kBoundsScan); }
 
   SearchRecord record;
@@ -162,11 +151,9 @@ TEST(SearchObservationTest, FinishAppendsChunkSpansAfterThePhases) {
   SearchStats stats;
   stats.nodes_expanded = 5;
   obs.Finish({"disc", 3, 2, SaveTermination::kFault}, stats, &record);
-  ASSERT_EQ(record.spans.size(), 4u);
+  ASSERT_EQ(record.spans.size(), 3u);
   EXPECT_EQ(record.spans[1].name, "search");
   EXPECT_EQ(record.spans[2].name, "bounds_scan");
-  EXPECT_EQ(record.spans[3].name, "pool_chunk");
-  EXPECT_TRUE(obs.chunk_spans.empty());
   const TraceSpan& search = record.spans[1];
   const auto has_int = [&](const char* key, std::uint64_t value) {
     for (const auto& [k, v] : search.int_attrs) {
@@ -178,42 +165,6 @@ TEST(SearchObservationTest, FinishAppendsChunkSpansAfterThePhases) {
   EXPECT_TRUE(has_int("nodes_expanded", 5));
   ASSERT_FALSE(search.str_attrs.empty());
   EXPECT_EQ(search.str_attrs[0].second, "fault");
-}
-
-TEST(SearchObservationTest, PooledScanHandsChunkSpansToTheOwner) {
-  SearchObservation obs = TracedObservation(nullptr);
-  WorkStealingPool pool(4);
-  const std::size_t rows = 2 * kScanGrain + 300;
-  ASSERT_TRUE(UseChunkedScan(&pool, rows));
-  std::atomic<std::size_t> scanned{0};
-  for (int scan = 0; scan < 2; ++scan) {
-    struct NoState {};
-    ScanRows(
-        RowScan{rows, nullptr, &pool, &obs, TracePhase::kDcacheFill},
-        [] { return NoState(); },
-        [&](NoState&, std::size_t begin, std::size_t end) {
-          scanned.fetch_add(end - begin, std::memory_order_relaxed);
-        },
-        [](NoState&, NoState&) {});
-  }
-  EXPECT_EQ(scanned.load(), 2 * rows);
-  EXPECT_EQ(obs.scan_ordinal, 2u);
-
-  // Three chunks per scan, in chunk order, ids derived from the scan
-  // ordinal and chunk index alone.
-  ASSERT_EQ(obs.chunk_spans.size(), 6u);
-  const std::uint64_t phase_span = obs.PhaseSpanId(TracePhase::kDcacheFill);
-  for (std::size_t i = 0; i < obs.chunk_spans.size(); ++i) {
-    const TraceSpan& span = obs.chunk_spans[i];
-    const std::uint64_t scan_span =
-        DeriveSpanId(phase_span, TraceSpanKind::kScan, i / 3);
-    EXPECT_EQ(span.name, "pool_chunk");
-    EXPECT_EQ(span.trace_id, obs.trace_id);
-    EXPECT_EQ(span.parent_id, phase_span);
-    EXPECT_EQ(span.span_id,
-              DeriveSpanId(scan_span, TraceSpanKind::kChunk, i % 3));
-  }
-  EXPECT_EQ(obs.chunk_spans[2].int_attrs[1].second, 300u);  // the tail rows
 }
 
 /// Thread-safe in-memory trace sink.

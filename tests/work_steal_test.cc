@@ -1,12 +1,11 @@
 // WorkStealingPool scheduler semantics plus the determinism contract of the
 // cost-ordered parallel saving path built on it: every index runs exactly
-// once, priority order is respected, steals happen under contention, nested
-// ParallelFor covers its range with schedule-independent chunk boundaries,
+// once, priority order is respected, steals happen under contention,
 // exceptions propagate without wedging the pool, and DiscSaver::SaveAll
 // stays bit-identical (including SearchStats::SameWork) across thread
-// counts, under cancellation fired mid-batch, and with the chunked bound
-// scans engaged on a large relation. Runs under TSan in the tsan-core CI
-// shard.
+// counts, under cancellation fired mid-batch, on a large relation, and
+// under a `bounds.scan` fault that every scan meets whatever the thread
+// count. Runs under TSan in the tsan-core CI shard.
 
 #include <gtest/gtest.h>
 
@@ -93,71 +92,6 @@ TEST(WorkStealingPool, StealsOccurWhenOneWorkerIsBusy) {
   const WorkStealingPool::SchedStats after = pool.stats();
   EXPECT_GE(after.steals - before.steals, 1u)
       << "idle worker never stole from the busy worker's deque";
-}
-
-TEST(WorkStealingPool, ParallelForCoversRangeWithFixedChunks) {
-  WorkStealingPool pool(4);
-  const std::size_t n = 10000;
-  const std::size_t grain = 128;
-  std::vector<std::atomic<int>> touched(n);
-  std::atomic<std::size_t> chunks{0};
-  pool.ParallelFor(0, n, grain,
-                   [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-                     // Chunk boundaries are a pure function of (range,
-                     // grain) — the determinism precondition for the
-                     // chunked bound-scan merges.
-                     EXPECT_EQ(begin, chunk * grain);
-                     EXPECT_EQ(end, std::min(n, begin + grain));
-                     for (std::size_t i = begin; i < end; ++i) {
-                       touched[i].fetch_add(1, std::memory_order_relaxed);
-                     }
-                     chunks.fetch_add(1, std::memory_order_relaxed);
-                   });
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(touched[i].load(), 1) << "index " << i;
-  }
-  EXPECT_EQ(chunks.load(), (n + grain - 1) / grain);
-}
-
-TEST(WorkStealingPool, ParallelForSmallRangeRunsInlineAsChunkZero) {
-  WorkStealingPool pool(4);
-  std::vector<std::size_t> chunk_ids;
-  pool.ParallelFor(0, 100, 128,
-                   [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-                     EXPECT_EQ(begin, 0u);
-                     EXPECT_EQ(end, 100u);
-                     chunk_ids.push_back(chunk);
-                   });
-  ASSERT_EQ(chunk_ids.size(), 1u);
-  EXPECT_EQ(chunk_ids[0], 0u);
-}
-
-TEST(WorkStealingPool, ParallelForNestedInsideBatchTasks) {
-  // Every batch task fans out its own inner scan — the worker helps only
-  // with its own group, idle workers pick up the rest. Sums must come out
-  // exact regardless of who ran which chunk.
-  WorkStealingPool pool(3);
-  const std::size_t tasks = 8;
-  const std::size_t n = 5000;
-  std::vector<std::uint64_t> sums(tasks, 0);
-  pool.RunBatch(Iota(tasks), [&](std::size_t t) {
-    std::vector<std::uint64_t> partial((n + 99) / 100, 0);
-    pool.ParallelFor(0, n, 100,
-                     [&](std::size_t begin, std::size_t end,
-                         std::size_t chunk) {
-                       std::uint64_t s = 0;
-                       for (std::size_t i = begin; i < end; ++i) s += i;
-                       partial[chunk] = s;
-                     });
-    sums[t] = std::accumulate(partial.begin(), partial.end(),
-                              std::uint64_t{0});
-  });
-  const std::uint64_t want = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  for (std::size_t t = 0; t < tasks; ++t) {
-    EXPECT_EQ(sums[t], want) << "task " << t;
-  }
-  const WorkStealingPool::SchedStats stats = pool.stats();
-  EXPECT_GE(stats.nested_chunks, tasks * ((n + 99) / 100));
 }
 
 TEST(WorkStealingPool, BatchExceptionPropagatesAndPoolStaysUsable) {
@@ -276,7 +210,7 @@ TEST(CostOrderedSaveAll, CancellationMidBatchIsSoundAndPoolReusable) {
 
   // Fire batch-wide cancellation from inside a running search, after the
   // batch has expanded a few dozen nodes across its workers — mid-batch,
-  // while steals and nested chunks are in flight. The injected kCancel
+  // while steals are in flight. The injected kCancel
   // fault at the 48th `search.node` hit replaces the old per-node hook:
   // hit indices are assigned atomically across workers, so the fault fires
   // exactly once, on some node of some in-flight search.
@@ -319,31 +253,62 @@ TEST(CostOrderedSaveAll, CancellationMidBatchIsSoundAndPoolReusable) {
   ExpectBitIdentical(reference, rerun);
 }
 
-TEST(CostOrderedSaveAll, NestedScansDeterministicOnLargeRelation) {
-  // Large enough that the chunked bound scans actually engage (the nested
-  // path needs n >= 2 * grain = 16384 candidate rows): 4 clusters x 5000.
-  // The pool-backed run must match the sequential run bit for bit — this
-  // is the end-to-end check of the k-smallest / chunk-minima merge logic.
-  Relation data = MakeSkewedDataset(/*seed=*/83, /*per_cluster=*/5000,
-                                    /*corrupt_stride=*/2500);
-  DistanceEvaluator evaluator(data.schema());
-  SaverFixture f = MakeSaver(std::move(data), evaluator, {1.6, 5});
-  ASSERT_GE(f.inliers.size(), 2u * 8192u)
-      << "dataset too small for the nested scan path";
+/// 4 clusters x 5000 tuples, so every bound scans more than 16,384
+/// inliers. Built once: the index and the δ_η cache over 20k rows dominate
+/// the tests that share it.
+const SaverFixture& LargeSaver() {
+  static const Relation data = MakeSkewedDataset(
+      /*seed=*/83, /*per_cluster=*/5000, /*corrupt_stride=*/2500);
+  static const DistanceEvaluator evaluator(data.schema());
+  static const SaverFixture fixture = MakeSaver(data, evaluator, {1.6, 5});
+  return fixture;
+}
+
+TEST(CostOrderedSaveAll, BitIdenticalOnLargeRelation) {
+  // The pool-backed runs must match the sequential run bit for bit.
+  const SaverFixture& f = LargeSaver();
+  ASSERT_GE(f.inliers.size(), 2u * 8192u);
   ASSERT_GT(f.outliers.size(), 2u);
 
   SaveOptions options;
   options.kappa = 2;
   std::vector<SaveResult> reference = f.saver->SaveAll(f.outliers, options);
+  for (std::size_t threads : {1u, 4u, 8u}) {
+    WorkStealingPool pool(threads);
+    std::vector<SaveResult> got =
+        f.saver->SaveAll(f.outliers, options, &pool);
+    ExpectBitIdentical(reference, got);
+  }
+}
 
+TEST(CostOrderedSaveAll, ScanFaultHitsEverySearchAtAnyThreadCount) {
+  // Every bound scan polls the `bounds.scan` fault site on its search's own
+  // worker, so a fault armed on every poll aborts every search, with or
+  // without a pool.
+  const SaverFixture& f = LargeSaver();
+  ASSERT_GE(f.inliers.size(), 2u * 8192u);
+  ASSERT_GT(f.outliers.size(), 2u);
+
+  auto run = [&](WorkStealingPool* pool) {
+    FaultInjector injector;
+    EXPECT_TRUE(injector.AddFromString("bounds.scan:error:nth=0,every=1").ok());
+    AttachGlobalFaultInjector(&injector);
+    std::vector<SaveResult> results = f.saver->SaveAll(f.outliers, {}, pool);
+    AttachGlobalFaultInjector(nullptr);
+    EXPECT_EQ(injector.fires("bounds.scan"), f.outliers.size());
+    return results;
+  };
+  const std::vector<SaveResult> inline_results = run(nullptr);
   WorkStealingPool pool(4);
-  const WorkStealingPool::SchedStats before = pool.stats();
-  std::vector<SaveResult> parallel =
-      f.saver->SaveAll(f.outliers, options, &pool);
-  ExpectBitIdentical(reference, parallel);
-  const WorkStealingPool::SchedStats after = pool.stats();
-  EXPECT_GT(after.nested_chunks - before.nested_chunks, 0u)
-      << "nested scan path never engaged on a 20k-row relation";
+  const std::vector<SaveResult> pooled_results = run(&pool);
+  for (const std::vector<SaveResult>* results :
+       {&inline_results, &pooled_results}) {
+    for (std::size_t i = 0; i < results->size(); ++i) {
+      EXPECT_EQ((*results)[i].termination, SaveTermination::kFault)
+          << "outlier " << i;
+    }
+  }
+  ExpectBitIdentical(inline_results, pooled_results);
 }
 
 }  // namespace
