@@ -16,8 +16,10 @@
 // (the 1-thread sweep already provides the throughput reference).
 //
 // Everything is written machine-readably to BENCH_parallel_save.json
-// (schema_version 4) in the working directory; scripts/check_bench_regression.py
-// compares that file against bench/baselines/.
+// (schema_version 4) in the directory named by $DISC_BENCH_OUT, or in
+// bench/out/ under the working directory when it is unset (BenchOutPath,
+// bench/support.h); scripts/check_bench_regression.py compares that file
+// against bench/baselines/.
 //
 // Not a paper figure: this benchmarks the repo's own parallel saving path.
 

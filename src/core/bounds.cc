@@ -109,21 +109,19 @@ BoundsEngine::BoundsEngine(const Relation& relation,
       cache_(cache),
       constraint_(constraint) {}
 
-double BoundsEngine::GlobalLowerBound(const Tuple& outlier,
-                                      BudgetGauge* gauge) const {
+double BoundsEngine::GlobalLowerBound(const SearchDistanceCache& dcache) const {
   // η-th nearest inlier. The outlier itself is not in r, but it still counts
   // toward its own neighbor total (Formula 4), so only η−1 inliers are
-  // needed besides the tuple itself.
+  // needed besides the tuple itself. The search's cache already holds
+  // Δ(t_o, t) for every inlier; the k-th smallest of them is the distance
+  // KNearest(t_o, η−1).back() would return.
   std::size_t needed = constraint_.eta > 0 ? constraint_.eta - 1 : 0;
-  if (needed == 0) return 0;
-  if (gauge != nullptr) {
-    ++gauge->stats().index_queries;
-    ++gauge->stats().index_knn_queries;
+  if (needed == 0 || dcache.rows() < needed) return 0;
+  KSmallest nearest(needed);
+  for (std::size_t row = 0; row < dcache.rows(); ++row) {
+    nearest.Offer(dcache.FullDistance(row));
   }
-  PhaseScope phase(ObservationOf(gauge), TracePhase::kIndexQuery);
-  std::vector<Neighbor> nn = index_.KNearest(outlier, needed);
-  if (nn.size() < needed) return 0;
-  double bound = nn.back().distance - constraint_.epsilon;
+  double bound = nearest.heap.front() - constraint_.epsilon;
   return bound > 0 ? bound : 0;
 }
 

@@ -23,14 +23,15 @@ namespace disc {
 /// against the inlier set r. The bounds are parameterized by the set X of
 /// *unadjusted* attributes (the adjustment may only change R \ X).
 ///
-/// Every method takes an optional BudgetGauge. With a gauge, each bound
-/// computation is metered as one logical index query and the O(n) row scans
-/// poll the gauge every kScanPollStride rows, so an expired deadline or a
-/// cancellation stops a scan mid-flight. An abandoned computation returns a
-/// *safe* value — an uninformative lower bound (0), no upper bound, or "not
-/// feasible" — never a partial result; callers detect the stop via
-/// gauge->stopped() and unwind with their incumbent. Without a gauge,
-/// behaviour is unchanged.
+/// Every method but GlobalLowerBound (one pass over the search's cached
+/// distances, never metered) takes an optional BudgetGauge. With a gauge,
+/// each bound computation is metered as one logical index query and the
+/// O(n) row scans poll the gauge every kScanPollStride rows, so an expired
+/// deadline or a cancellation stops a scan mid-flight. An abandoned
+/// computation returns a *safe* value — an uninformative lower bound (0),
+/// no upper bound, or "not feasible" — never a partial result; callers
+/// detect the stop via gauge->stopped() and unwind with their incumbent.
+/// Without a gauge, behaviour is unchanged.
 ///
 /// LowerBoundForX and UpperBoundForX each scan the band once, with one row
 /// loop run by the row-scan primitive of core/row_scan.h, inline on the
@@ -49,10 +50,12 @@ class BoundsEngine {
                DistanceConstraint constraint);
 
   /// Lower bound of Lemma 2 (X = ∅ special case): Δ(t_o, t_1) − ε where t_1
-  /// is the η-th nearest inlier to t_o. Returns 0 when fewer than η inliers
-  /// exist (no informative bound).
-  double GlobalLowerBound(const Tuple& outlier,
-                          BudgetGauge* gauge = nullptr) const;
+  /// is the η-th nearest inlier to t_o (η−1 besides t_o's self-count),
+  /// clamped at 0. Returns 0 when η ≤ 1 or fewer than η−1 inliers exist
+  /// (no informative bound). Reads the full-space distances of `dcache`,
+  /// the per-search cache built for t_o over this relation: no index query,
+  /// no metering, no gauge polls (one O(n) pass over cached doubles).
+  double GlobalLowerBound(const SearchDistanceCache& dcache) const;
 
   /// Lower bound of Proposition 3: Δ(t_o, t_1) − ε where t_1 is the η-th
   /// nearest neighbor of t_o within r_ε(t_o[X]) (inliers whose distance to

@@ -351,7 +351,10 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
   }
 
   SaveResult result;
-  result.lower_bound = bounds_->GlobalLowerBound(outlier, &gauge);
+  {
+    PhaseScope phase(obs, TracePhase::kBoundsScan);
+    result.lower_bound = bounds_->GlobalLowerBound(dcache);
+  }
   result.visited_sets = state.visited.size();
   result.pruned_sets = state.pruned;
 
@@ -640,9 +643,11 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
   // routinely strands the most expensive search at the tail of the batch,
   // serializing its whole runtime behind everything else. Estimating each
   // search's difficulty first and dispatching hardest-first bounds that
-  // tail by the longest single search — and the estimates are cheap enough
-  // (one kNN query each, ~the cost of one bound scan) to amortize across
-  // the batch. The estimate pass runs on the same pool, in input order.
+  // tail by the longest single search. The estimates are not cheap: one
+  // (η−1)-NN index query each, which for an outlier far from every inlier
+  // can cost more than its whole search (a GridIndex walks ever wider cell
+  // rings, then scans and sorts all of r) and far more than one bound
+  // scan. The estimate pass runs on the same pool, in input order.
   MetricsRegistry* metrics = GlobalMetrics();
   const WorkStealingPool::SchedStats before = pool->stats();
   Gauge* depth_gauge =

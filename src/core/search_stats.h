@@ -44,12 +44,15 @@ struct SearchStats {
   /// Raw index traffic by query kind.
   std::uint64_t index_range_queries = 0;
   std::uint64_t index_count_queries = 0;
+  /// Raw kNN calls through a StatsNeighborIndex. Always 0 in a search's
+  /// stats: no search issues a kNN query (Lemma 2's bound reads the
+  /// search's distance cache). Kept so existing readers of the field,
+  /// the journal and the trace schema still work.
   std::uint64_t index_knn_queries = 0;
   /// Logical index queries — the unit metered by
-  /// SearchBudget::max_index_queries: one per bound computation, kNN and
-  /// feasibility check. Kept bit-identical to the pre-telemetry
-  /// QueryCounter tally (this is the field `split_index_queries` and
-  /// OutlierRecord::index_queries are fed from).
+  /// SearchBudget::max_index_queries: one per Prop-3/Prop-5 bound
+  /// computation and feasibility check (this is the field
+  /// `split_index_queries` and OutlierRecord::index_queries are fed from).
   std::uint64_t index_queries = 0;
   /// Attributes restored to their original value by the RevertRefine
   /// post-pass (each revert kept the adjustment feasible and strictly

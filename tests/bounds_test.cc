@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -13,7 +15,10 @@
 #include "common/random.h"
 #include "core/search_distance_cache.h"
 #include "distance/columnar.h"
+#include "index/brute_force_index.h"
+#include "index/grid_index.h"
 #include "index/index_factory.h"
+#include "index/kd_tree.h"
 
 namespace disc {
 namespace {
@@ -41,6 +46,10 @@ class BoundsFixture : public testing::Test {
 
   /// The bounds as a search computes them, over a scalar-backed
   /// per-outlier distance cache.
+  double Glb(const Tuple& outlier) const {
+    SearchDistanceCache dcache(inliers_, *evaluator_, outlier);
+    return engine_->GlobalLowerBound(dcache);
+  }
   double Lb(const Tuple& outlier, const AttributeSet& x) const {
     SearchDistanceCache dcache(inliers_, *evaluator_, outlier);
     return engine_->LowerBoundForX(outlier, x, nullptr, &dcache);
@@ -62,7 +71,7 @@ class BoundsFixture : public testing::Test {
 TEST_F(BoundsFixture, GlobalLowerBoundPositiveForFarOutlier) {
   Build(40, {1.0, 5});
   Tuple outlier = Tuple::Numeric({20, 0});
-  double lb = engine_->GlobalLowerBound(outlier);
+  double lb = Glb(outlier);
   // The outlier is ~20 away from the cluster; it must move ≥ ~19 − jitter.
   EXPECT_GT(lb, 15.0);
 }
@@ -70,15 +79,14 @@ TEST_F(BoundsFixture, GlobalLowerBoundPositiveForFarOutlier) {
 TEST_F(BoundsFixture, GlobalLowerBoundZeroForNearPoint) {
   Build(40, {1.0, 5});
   Tuple near = Tuple::Numeric({0.1, 0.1});
-  EXPECT_DOUBLE_EQ(engine_->GlobalLowerBound(near), 0.0);
+  EXPECT_DOUBLE_EQ(Glb(near), 0.0);
 }
 
 TEST_F(BoundsFixture, LowerBoundForEmptyXMatchesGlobal) {
   Build(40, {1.0, 5});
   Tuple outlier = Tuple::Numeric({20, 0});
   // Lemma 2 is the X = ∅ special case of Proposition 3.
-  EXPECT_NEAR(Lb(outlier, AttributeSet()),
-              engine_->GlobalLowerBound(outlier), 1e-9);
+  EXPECT_NEAR(Lb(outlier, AttributeSet()), Glb(outlier), 1e-9);
 }
 
 TEST_F(BoundsFixture, LowerBoundGrowsWithX) {
@@ -301,6 +309,183 @@ TEST(BoundsOracleTest, InlineScansMatchDefinitionOnMixedSchema) {
     outliers.push_back(std::move(t));
   }
   ExpectBoundsMatchOracle(r, ev, {2.0, 4}, outliers, nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Lemma 2 from the search's distance cache must equal the index-defined
+// bound max(0, KNearest(η−1).back().distance − ε) bit for bit, for every
+// index kind, norm and cache backing.
+// ---------------------------------------------------------------------------
+
+/// The bound as an index query defines it; 0 when η ≤ 1 or when fewer than
+/// η−1 inliers exist.
+double KnnGlobalLowerBound(const NeighborIndex& index, const Tuple& outlier,
+                           DistanceConstraint c) {
+  const std::size_t needed = c.eta > 0 ? c.eta - 1 : 0;
+  if (needed == 0) return 0;
+  std::vector<Neighbor> nn = index.KNearest(outlier, needed);
+  if (nn.size() < needed) return 0;
+  return std::max(0.0, nn.back().distance - c.epsilon);
+}
+
+/// η values around the edges for a relation of `n` rows: η ≤ 1 (no
+/// bound), η−1 = n (the farthest inlier) and η−1 > n (too few inliers).
+std::vector<std::size_t> EtaSweep(std::size_t n) {
+  return {0, 1, 2, 3, 5, 9, n, n + 1, n + 2, n + 30};
+}
+
+/// Checks the cache bound against KnnGlobalLowerBound over `index` for
+/// every outlier, η in EtaSweep and cache backing (`view` null = scalar
+/// only). Returns the number of comparisons made.
+std::size_t ExpectGlobalBoundMatchesKnn(const Relation& r,
+                                        const DistanceEvaluator& ev,
+                                        const NeighborIndex& index,
+                                        double epsilon,
+                                        const std::vector<Tuple>& outliers,
+                                        const ColumnarView* view) {
+  // Lemma 2 reads neither δ_η nor the index; the engine just needs both.
+  KthNeighborCache kth(r, index, 2);
+  std::vector<const ColumnarView*> backings = {nullptr};
+  if (view != nullptr) backings.push_back(view);
+  std::size_t checks = 0;
+  for (std::size_t eta : EtaSweep(r.size())) {
+    const DistanceConstraint c{epsilon, eta};
+    BoundsEngine engine(r, ev, index, kth, c);
+    for (std::size_t i = 0; i < outliers.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << index.Name() << " eta=" << eta
+                                      << " outlier " << i);
+      const double want = KnnGlobalLowerBound(index, outliers[i], c);
+      for (const ColumnarView* backing : backings) {
+        SearchDistanceCache dcache(r, ev, outliers[i], backing);
+        const double got = engine.GlobalLowerBound(dcache);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "columnar=" << dcache.columnar() << " got " << got;
+        ++checks;
+      }
+    }
+  }
+  return checks;
+}
+
+/// Outliers for `r`'s integer grid: on it, between its points, and 16 or
+/// more ε-cells outside it (the grid's far-query path).
+std::vector<Tuple> MixedOutliers(std::size_t dims, std::int64_t lo,
+                                 std::int64_t hi, double epsilon,
+                                 std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tuple> outliers;
+  for (std::size_t i = 0; i < 12; ++i) {
+    Tuple t(dims);
+    for (std::size_t d = 0; d < dims; ++d) {
+      double v = static_cast<double>(rng.UniformInt(lo, hi));
+      if (i % 3 == 1) v += rng.Uniform(-0.5, 0.5);
+      if (i % 3 == 2) v += (d % 2 == 0 ? 1 : -1) * (16 + 8.0 * i) * epsilon;
+      t[d] = Value(v);
+    }
+    outliers.push_back(std::move(t));
+  }
+  return outliers;
+}
+
+TEST(GlobalLowerBoundOracle, MatchesKNearestOnEveryNumericIndex) {
+  std::size_t checks = 0;
+  for (LpNorm norm : {LpNorm::kL1, LpNorm::kL2, LpNorm::kLInf}) {
+    for (std::uint64_t seed : {5u, 6u}) {
+      // Integer coordinates in [-6, 6]: Δ ties at the (η−1)-th distance
+      // are common, and duplicate rows tie exactly.
+      Rng rng(seed);
+      Relation r(Schema::Numeric(3));
+      for (int i = 0; i < 150; ++i) {
+        Tuple t(3);
+        for (std::size_t d = 0; d < 3; ++d) {
+          t[d] = Value(static_cast<double>(rng.UniformInt(-6, 6)));
+        }
+        r.AppendUnchecked(std::move(t));
+      }
+      DistanceEvaluator ev(r.schema(), norm);
+      auto view = ColumnarView::Build(r, ev);
+      ASSERT_NE(view, nullptr);
+      const double eps = 1.5;
+      const std::vector<Tuple> outliers =
+          MixedOutliers(3, -6, 6, eps, seed + 100);
+      GridIndex grid(r, eps, norm);
+      KdTree tree(r, norm);
+      BruteForceIndex brute(r, ev);
+      const std::vector<const NeighborIndex*> indexes = {&grid, &tree, &brute};
+      for (const NeighborIndex* index : indexes) {
+        checks += ExpectGlobalBoundMatchesKnn(r, ev, *index, eps, outliers,
+                                              view.get());
+      }
+    }
+  }
+  EXPECT_EQ(checks, 3u * 2u * 3u * 10u * 12u * 2u);
+}
+
+TEST(GlobalLowerBoundOracle, MatchesKNearestWithEditDistance) {
+  // String attributes: brute force over edit distance, scalar-backed cache.
+  Schema mixed(std::vector<AttributeDef>{{"name", ValueKind::kString},
+                                         {"x", ValueKind::kNumeric}});
+  const char* names[] = {"ab", "abc", "abd", "xbc", "b", "abcd"};
+  for (LpNorm norm : {LpNorm::kL1, LpNorm::kL2, LpNorm::kLInf}) {
+    Rng rng(41);
+    Relation r(mixed);
+    for (int i = 0; i < 60; ++i) {
+      Tuple t(2);
+      t[0] = Value(names[rng.NextIndex(6)]);
+      t[1] = Value(static_cast<double>(rng.UniformInt(0, 4)));
+      r.AppendUnchecked(std::move(t));
+    }
+    DistanceEvaluator ev(mixed, norm);
+    ASSERT_EQ(ColumnarView::Build(r, ev), nullptr);
+    std::vector<Tuple> outliers;
+    for (int i = 0; i < 6; ++i) {
+      Tuple t(2);
+      t[0] = Value(i % 2 == 0 ? "abc" : "zzzzzz");
+      t[1] = Value(static_cast<double>(rng.UniformInt(-3, 20)));
+      outliers.push_back(std::move(t));
+    }
+    BruteForceIndex brute(r, ev);
+    EXPECT_EQ(ExpectGlobalBoundMatchesKnn(r, ev, brute, 1.0, outliers,
+                                          nullptr),
+              10u * 6u);
+  }
+}
+
+TEST(GlobalLowerBoundOracle, TieAtTheKthDistanceAndTinyRelations) {
+  // Four inliers at distance 5 around the outlier and one nearer: the
+  // 2nd..5th nearest all tie at 5, so η−1 ∈ [2, 5] lands inside the tie.
+  Relation r(Schema::Numeric(2));
+  r.AppendUnchecked(Tuple::Numeric({3, 4}));
+  r.AppendUnchecked(Tuple::Numeric({-3, -4}));
+  r.AppendUnchecked(Tuple::Numeric({1, 0}));
+  r.AppendUnchecked(Tuple::Numeric({4, -3}));
+  r.AppendUnchecked(Tuple::Numeric({-4, 3}));
+  DistanceEvaluator ev(r.schema());
+  auto view = ColumnarView::Build(r, ev);
+  ASSERT_NE(view, nullptr);
+  const Tuple outlier = Tuple::Numeric({0, 0});
+  BruteForceIndex brute(r, ev);
+  ExpectGlobalBoundMatchesKnn(r, ev, brute, 2.0, {outlier}, view.get());
+  KthNeighborCache kth(r, brute, 3);
+  for (std::size_t eta = 3; eta <= 6; ++eta) {
+    BoundsEngine engine(r, ev, brute, kth, {2.0, eta});
+    SearchDistanceCache dcache(r, ev, outlier);
+    EXPECT_EQ(engine.GlobalLowerBound(dcache), 3.0) << "eta=" << eta;
+  }
+  // η−1 > n and η ≤ 1: no informative bound.
+  for (std::size_t eta : {0u, 1u, 7u, 50u}) {
+    BoundsEngine engine(r, ev, brute, kth, {2.0, eta});
+    SearchDistanceCache dcache(r, ev, outlier);
+    EXPECT_EQ(engine.GlobalLowerBound(dcache), 0.0) << "eta=" << eta;
+  }
+  // An empty relation has no inliers at all.
+  Relation empty(Schema::Numeric(2));
+  BruteForceIndex none(empty, ev);
+  KthNeighborCache none_kth(empty, none, 3);
+  BoundsEngine engine(empty, ev, none, none_kth, {2.0, 3});
+  SearchDistanceCache dcache(empty, ev, outlier);
+  EXPECT_EQ(engine.GlobalLowerBound(dcache), 0.0);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/random.h"
 #include "index/brute_force_index.h"
@@ -177,6 +181,72 @@ TEST(GridIndex, FarAwayQueryTerminatesQuickly) {
   }
   // Range queries with huge radii likewise degrade to a scan.
   EXPECT_EQ(grid.CountWithin(far_query, 1e5), r.size());
+}
+
+/// The k nearest rows by a full scan with the scalar evaluator, sorted by
+/// (distance, row): the definition GridIndex::KNearest must reproduce.
+std::vector<Neighbor> SortedScan(const Relation& r, const DistanceEvaluator& ev,
+                                 const Tuple& query, std::size_t k) {
+  std::vector<Neighbor> all;
+  for (std::size_t row = 0; row < r.size(); ++row) {
+    all.push_back({row, ev.Distance(query, r[row])});
+  }
+  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
+    return a.distance < b.distance ||
+           (a.distance == b.distance && a.row < b.row);
+  });
+  if (k < all.size()) all.resize(k);
+  return all;
+}
+
+TEST(GridIndex, KNearestMatchesSortedScanBitForBit) {
+  // Integer coordinates in [-8, 8] sit on cell boundaries for every cell
+  // size below, include negatives, and repeat (exact distance ties, broken
+  // by row). Queries: on the grid, off it, and 16+ cells away from every
+  // point (the doubling-radius walk and its full-scan fallback).
+  for (LpNorm norm : {LpNorm::kL1, LpNorm::kL2, LpNorm::kLInf}) {
+    SCOPED_TRACE(testing::Message() << "norm " << static_cast<int>(norm));
+    for (std::size_t dims : {2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "dims " << dims);
+      Rng rng(61 + dims);
+      Relation r(Schema::Numeric(dims));
+      for (int i = 0; i < 120; ++i) {
+        Tuple t(dims);
+        for (std::size_t d = 0; d < dims; ++d) {
+          t[d] = Value(static_cast<double>(rng.UniformInt(-8, 8)));
+        }
+        r.AppendUnchecked(std::move(t));
+      }
+      DistanceEvaluator ev(r.schema(), norm);
+      for (double cell : {0.5, 1.0, 2.0}) {
+        SCOPED_TRACE(testing::Message() << "cell " << cell);
+        GridIndex grid(r, cell, norm);
+        for (int q = 0; q < 15; ++q) {
+          Tuple query(dims);
+          for (std::size_t d = 0; d < dims; ++d) {
+            double v = static_cast<double>(rng.UniformInt(-9, 9));
+            if (q % 3 == 1) v += rng.Uniform(-1, 1);
+            // At least 16 + 10q cells beyond the data's edge at ±8.
+            if (q % 3 == 2) v = (d == 0 ? -1 : 1) * (8 + (16 + 10 * q) * cell);
+            query[d] = Value(v);
+          }
+          for (std::size_t k : {std::size_t{1}, std::size_t{4},
+                                std::size_t{17}, r.size(), r.size() + 9}) {
+            SCOPED_TRACE(testing::Message() << "query " << q << " k " << k);
+            std::vector<Neighbor> got = grid.KNearest(query, k);
+            std::vector<Neighbor> want = SortedScan(r, ev, query, k);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              EXPECT_EQ(got[i].row, want[i].row) << "rank " << i;
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].distance),
+                        std::bit_cast<std::uint64_t>(want[i].distance))
+                  << "rank " << i;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(KdTree, EmptyRelation) {
